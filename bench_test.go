@@ -304,9 +304,10 @@ func BenchmarkMicro_AESEncryptBlock(b *testing.B) {
 	}
 }
 
-// BenchmarkMicro_FloydWarshall measures one controller routing computation
-// (phases 1-3) on the largest mesh of the paper.
-func BenchmarkMicro_FloydWarshall8x8(b *testing.B) {
+// BenchmarkMicro_ShortestPaths8x8 measures one controller routing
+// computation (phases 1-3, phase 2 the per-destination shortest-path pass)
+// on the largest mesh of the paper, with a fresh workspace per compute.
+func BenchmarkMicro_ShortestPaths8x8(b *testing.B) {
 	mesh := topology.MustMesh(8, 8, 1)
 	state := &routing.SystemState{Graph: mesh.Graph, Levels: 8, Status: make([]routing.NodeStatus, mesh.Size())}
 	for _, n := range mesh.Nodes() {
@@ -328,7 +329,7 @@ func BenchmarkMicro_FloydWarshall8x8(b *testing.B) {
 }
 
 // BenchmarkMicro_ComputeInto8x8 is the same controller computation as
-// BenchmarkMicro_FloydWarshall8x8 but through a reused routing.Workspace —
+// BenchmarkMicro_ShortestPaths8x8 but through a reused routing.Workspace —
 // the steady-state path the simulator drives every TDMA frame. It must
 // report 0 allocs/op.
 func BenchmarkMicro_ComputeInto8x8(b *testing.B) {

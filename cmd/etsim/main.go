@@ -30,8 +30,9 @@
 // prints for its optimized placements). -controlplane/-shards/-staleness
 // select the controller architecture (see internal/controlplane), both ad hoc
 // and as overrides on a named scenario. -recompute selects the controller's
-// phase-2 strategy (incremental dirty-set repair, the default, or the full
-// Floyd-Warshall pass); the two are byte-identical in every output, the knob
+// phase-2 strategy (the incremental shortest-path-tree repair, the default,
+// or the full per-destination pass); the two are byte-identical in every
+// output for any -ear-q except the "recompute split" row, and the knob
 // exists for equivalence checks and timing comparisons.
 package main
 
@@ -76,7 +77,7 @@ func main() {
 		planeName     = flag.String("controlplane", "", "control-plane architecture: centralized (default) or sharded; overrides the scenario's when combined with -scenario")
 		shards        = flag.Int("shards", 0, "number of regional controllers under -controlplane sharded (0 = default)")
 		staleness     = flag.Int("staleness", 0, "summary-exchange period in frames between regional controllers (0 = every frame)")
-		recompute     = flag.String("recompute", "", "controller phase-2 strategy: incremental (default) or full Floyd-Warshall; outputs are byte-identical either way; overrides the scenario's when combined with -scenario")
+		recompute     = flag.String("recompute", "", "controller phase-2 strategy: incremental (default) or full shortest-path pass; outputs other than the recompute split are byte-identical either way; overrides the scenario's when combined with -scenario")
 		faultSpec     = flag.String("faults", "", "runtime fault schedule, e.g. 'link=0.05:8,crash=0.02:12,wear=150,kill=1@40:120,seed=7' (see internal/faults); overrides the scenario's when combined with -scenario")
 		seed          = flag.Uint64("seed", 1, "with -scenario: override the scenario's MappingSeed/FailedLinkSeed (single run) or seed the campaign stream (-replications > 1)")
 		replications  = flag.Int("replications", 1, "with -scenario: run this many seed-stream replicates as a Monte-Carlo campaign and print aggregate statistics")

@@ -109,10 +109,11 @@ type Config struct {
 	// region routes on a stale view of the rest of the fabric.
 	StalenessFrames int
 	// Recompute selects the phase-2 strategy: "" or "incremental" repairs
-	// the shortest-path matrices from the dirty set with automatic full
-	// fallback, "full" always reruns the complete Floyd–Warshall pass.
-	// Both produce byte-identical tables; the knob exists as a baseline
-	// for equivalence checks and scaling measurements.
+	// the shortest-path trees from the changed edges with automatic full
+	// fallback, "full" always reruns the complete per-destination pass.
+	// Both produce byte-identical tables; only the reported recompute split
+	// differs. The knob exists as a baseline for equivalence checks and
+	// scaling measurements.
 	Recompute string
 }
 
@@ -283,7 +284,7 @@ type ControlPlane interface {
 	// `shard`'s pool so far.
 	ShardConsumedPJ(shard int) float64
 	// RecomputeSplit reports how the plane's recomputations executed so
-	// far: full Floyd–Warshall passes vs incremental dirty-set repairs
+	// far: full passes vs incremental shortest-path-tree repairs
 	// (summed across regions for the sharded plane).
 	RecomputeSplit() (full, incremental int)
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Big-mesh scaling: incremental dirty-set repair vs full Floyd–Warshall
+// Big-mesh scaling: incremental shortest-path-tree repair vs the full pass
 // ---------------------------------------------------------------------------
 
 // DefaultScalingSizes is the mesh-size axis of the scaling study. The largest
@@ -24,8 +24,8 @@ func DefaultScalingSizes() []int { return []int{8, 16, 32, 64} }
 const DefaultScalingCrossings = 16
 
 // scalingFullCapNodes bounds the always-full baseline: above this node count
-// one full Floyd–Warshall pass per crossing is exactly the cost this study
-// exists to avoid, so only the incremental path is timed (the repair's
+// one full pass per crossing (seconds at 64x64) is exactly the cost this
+// study exists to avoid, so only the incremental path is timed (the repair's
 // byte-identity is pinned separately, by the equivalence suite on meshes the
 // baseline can afford).
 const scalingFullCapNodes = 1024
@@ -62,7 +62,7 @@ type ScalingRow struct {
 }
 
 // Scaling measures the per-crossing recompute cost of the incremental
-// dirty-set repair against the always-full Floyd–Warshall baseline, on
+// shortest-path-tree repair against the always-full baseline, on
 // meshes up to far beyond the paper's sizes. For every mesh size it replays
 // the same deterministic trajectory of single-node battery-level crossings
 // through both strategies in lockstep, times each recompute, and compares
@@ -170,7 +170,7 @@ func scalingRow(n, crossings int) (ScalingRow, error) {
 
 // ScalingTable renders the scaling study, one row per mesh size.
 func ScalingTable(rows []ScalingRow) *stats.Table {
-	t := stats.NewTable("Big-mesh scaling: incremental dirty-set repair vs full Floyd-Warshall (per battery-level crossing)",
+	t := stats.NewTable("Big-mesh scaling: incremental shortest-path-tree repair vs full pass (per battery-level crossing)",
 		"mesh", "nodes", "full [ms]", "incremental [ms]", "speedup", "repairs", "fallbacks", "dirty/K", "affected/K^2", "identical")
 	for _, r := range rows {
 		fullMS, speedup, identical := "-", "-", "-"

@@ -10,13 +10,14 @@ type RecomputeMode int
 
 const (
 	// RecomputeIncremental (the zero value, and the default) repairs the
-	// previous distance/successor matrices from the set of changed weights
-	// when that set is small, falling back to the full Floyd–Warshall pass
-	// automatically (see DeltaWorkspace).
+	// previous shortest-path trees from the set of changed weights when that
+	// set is small, falling back to the full pass automatically (see
+	// DeltaWorkspace).
 	RecomputeIncremental RecomputeMode = iota
-	// RecomputeFull always reruns the full O(K³) pass, byte-identical to
-	// what a plain Workspace computes. It exists as a baseline for the
-	// equivalence tests, the scaling experiment and the CI byte-diff smoke.
+	// RecomputeFull always reruns the full per-destination pass,
+	// byte-identical to what a plain Workspace computes. It exists as a
+	// baseline for the equivalence tests, the scaling experiment and the CI
+	// byte-diff smoke.
 	RecomputeFull
 )
 
@@ -32,9 +33,9 @@ func (m RecomputeMode) String() string {
 // counters are pure functions of the snapshot sequence, so they are
 // deterministic and may appear in experiment tables.
 type DeltaStats struct {
-	// Full counts recomputations that ran the full Floyd–Warshall pass
-	// (first computation, forced mode, liveness change, or dirty set past
-	// the crossover).
+	// Full counts recomputations that ran the full pass (first
+	// computation, forced mode, liveness change, or change volume past the
+	// crossover).
 	Full int
 	// Incremental counts recomputations repaired from the dirty set.
 	Incremental int
@@ -42,54 +43,54 @@ type DeltaStats struct {
 	// incremental repairs.
 	DirtyVertices int
 	// AffectedPairs is the cumulative number of (source, destination)
-	// pairs whose labels were recomputed across all incremental repairs.
+	// pairs whose previous shortest path touched a dirty vertex, across all
+	// incremental repairs.
 	AffectedPairs int
 }
 
-// Crossover fractions above which the incremental repair loses to the full
-// pass. An incremental repair costs roughly (diff + marking + adjacency +
-// rebuild) ≈ 4·K² plus one O(K²) pivot pass per dirty vertex plus the
-// affected re-labelling, while the full pass costs K pivot passes. Measured
-// with BenchmarkDeltaCrossover on the 16x16 mesh (256 nodes, EAR,
-// single-CPU container): repair beats the 23.1 ms full pass at 3.5 ms for
-// one drained node (dirty 0.02·K, affected 0.11·K²) and breaks even around
-// sixteen simultaneously drained nodes — dirty ≈ 0.21·K, affected ≈
-// 0.73·K². The defaults sit just under that break-even; they are policy,
-// not correctness — any threshold yields byte-identical tables.
+// Crossover fractions above which the workspace takes the full pass instead
+// of the incremental repair. They are output-compatibility policy, not a
+// measured break-even point: both paths reach the same fixpoint, but which
+// one ran is reported (the "recompute split" row, sim.Result's
+// Full/IncrementalRecomputes), so moving either constant changes published
+// results. Both were tuned against the dense Floyd–Warshall pass this
+// package used before the sparse one: at the time they sat just under the
+// 16x16 break-even (about sixteen drained nodes at once).
 const (
 	defaultDirtyCrossover    = 0.20
 	defaultAffectedCrossover = 0.60
 )
 
 // DeltaWorkspace is a Workspace variant whose phase 2 is a dynamic all-pairs
-// shortest-path computation: it keeps the previous weight matrix, diffs the
-// new weights against it into a dirty vertex set (a vertex is dirty when any
-// edge incident to it changed weight, appeared, or disappeared), and when
-// the dirty set is small repairs the flat dist/succ arrays in place —
-// Ramalingam–Reps-style, specialized to the dense representation — instead
-// of rerunning the full O(K³) Floyd–Warshall pass:
+// shortest-path computation. It keeps the previous weight matrix, diffs the
+// new weights against it into a list of changed edges and a dirty vertex set
+// (a vertex is dirty when any edge incident to it changed weight, appeared,
+// or disappeared), and when the change is small repairs each destination's
+// shortest-path tree in place, Ramalingam–Reps style, instead of rerunning
+// the full per-destination Dijkstra pass:
 //
-//  1. Mark, per destination j, every source i whose previous canonical path
-//     to j touches a dirty vertex (one memoized walk of the old successor
-//     tree per destination, O(K) amortized).
-//  2. Re-label the affected pairs of each destination with a Dijkstra pass
-//     restricted to clean intermediates, seeded from still-exact clean-pair
-//     distances (deterministic smallest-label/smallest-id settling order).
-//  3. Run the shared Floyd–Warshall pivot pass once per dirty vertex, in
-//     ascending vertex order, over the whole matrix.
+//  1. Invalidate the subtrees hanging under the increased (or removed)
+//     tree edges, succ[u][j] == v (tree children of x are its in-neighbours
+//     z with succ[z][j] == x).
+//  2. Seed every invalidated vertex from its still-valid out-neighbours.
+//  3. Seed the decreased (or new) edges whose new + d(v, j) ≤ d(u, j), and
+//     settle with the shared Dijkstra loop.
 //
-// Because the repaired matrices reach the same canonical fixpoint as the
-// full pass — true shortest distances, and for every pair the minimum first
-// hop among all shortest paths — the repair is byte-identical to
-// Workspace.ComputeInto whenever edge-weight sums carry no rounding (the
-// repo's calibrations use dyadic lengths and penalties, so they are exact;
-// see DESIGN.md, "Performance architecture"). The repair costs
-// O(K² + |dirty|·K² + Σ|affected|·K) against the full pass's O(K³).
+// A destination with no increased tree edge and no such decreased edge is
+// left as it is after one scan of the changed edges.
 //
-// The workspace falls back to the full pass automatically when there is no
-// previous computation, the node count changed, any node's liveness flag
-// changed (death and revival invalidate reachability wholesale), or the
-// dirty/affected volume exceeds the measured crossover thresholds.
+// Because the repair and the full pass compute the same fixpoint —
+// d(u) = min over x of fl(w(u,x) + d(x)), successor the lowest-ID x attaining
+// it — and that fixpoint is unique whenever no edge weight is absorbed by
+// rounding (fl(w + d) > d for every edge), the repair is byte-identical to
+// Workspace.ComputeInto for every EAR Q, dyadic or not.
+//
+// The workspace falls back to the full pass when there is no previous
+// computation, the node count changed, any node's liveness flag changed, the
+// dirty set exceeds 20% of K, or more than 60% of the K² (source,
+// destination) pairs had a previous shortest path through a dirty vertex
+// (counted by walking each dirty vertex's subtree in the previous trees).
+// Stats reports the split; it is part of every simulation result.
 //
 // The ComputeInto contract — ping-ponged table buffers, Plan lifetimes, and
 // zero steady-state heap allocations — is identical to Workspace; a
@@ -99,38 +100,35 @@ type DeltaWorkspace struct {
 	dirtyCrossover    float64
 	affectedCrossover float64
 
+	// ws holds the phase-2 storage, phase-3 buffers and plan; its own
+	// weight matrix stays unused.
+	ws Workspace
 	// Ping-ponged phase-1 weight matrices: w[cur] holds the weights of the
 	// previous computation, the other buffer receives the new ones, and the
 	// diff between them is the dirty set.
-	w        [2]Matrix
-	cur      int
-	havePrev bool
-
-	sp        ShortestPaths
-	dests     destSet
-	tbl       [2]Tables
-	plan      Plan
+	w         [2]Matrix
+	cur       int
+	havePrev  bool
 	prevAlive []bool
 
-	// Repair scratch, sized once per dimension and reused (zero-alloc for
-	// a fixed topology; the adjacency arrays regrow only when the edge
-	// count does).
-	dirtyMark []bool            // per vertex: incident edge changed
-	dirty     []int             // ascending dirty vertex list
-	mark      []uint64          // per vertex: epoch<<1 | affected bit
-	epoch     uint64            // current marking epoch
-	walk      []int             // successor-tree walk stack
-	aff       []int             // ascending affected sources, current dest
-	work      []int             // unsettled Dijkstra worklist
-	label     []float64         // tentative clean-restricted distances
-	hop       []topology.NodeID // tentative canonical first hops
-	settled   []bool            // per vertex: popped for the current dest
-	adjOut    []int32           // concatenated out-neighbour lists
-	adjOutOff []int32           // k+1 offsets into adjOut
-	adjIn     []int32           // concatenated in-neighbour lists
-	adjInOff  []int32           // k+1 offsets into adjIn
+	// Repair scratch, sized once per dimension and reused (zero-alloc once
+	// the change volume has been seen).
+	dirtyMark []bool       // per vertex: incident edge changed
+	dirty     []int        // ascending dirty vertex list
+	changed   []edgeChange // changed edges, row-major order
+	seen      []uint64     // per vertex: stamp of the last walk that reached it
+	stamp     uint64
+	stack     []int32 // subtree walk stack
+	invalid   []int32 // invalidated vertices, current destination
 
 	stats DeltaStats
+}
+
+// edgeChange is one changed entry of the weight matrix.
+type edgeChange struct {
+	u, v      int32
+	w         float64 // new weight (Inf for a removed edge)
+	increased bool
 }
 
 // NewDeltaWorkspace returns an empty delta workspace in incremental mode
@@ -183,63 +181,40 @@ func (dw *DeltaWorkspace) ComputeInto(alg Algorithm, state *SystemState, destina
 	next := dw.cur ^ 1
 	alg.WeightsInto(&dw.w[next], state)
 	k := dw.w[next].Dim()
-
-	if dw.repair(k, state) {
+	// Node death (or revival) invalidates reachability wholesale: every
+	// column through the node changes at once. Take the full pass.
+	if !dw.syncAlive(state, k) && dw.repair(k) {
 		dw.stats.Incremental++
 	} else {
-		dw.sp.ComputeFrom(&dw.w[next])
+		dw.ws.sp.ComputeFrom(&dw.w[next])
 		dw.stats.Full++
 	}
 	dw.cur = next
 	dw.havePrev = true
-	dw.noteAlive(state, k)
-
-	dw.dests.fill(destinations)
-	out := &dw.tbl[0]
-	if prev == out {
-		out = &dw.tbl[1]
-	}
-	buildTablesInto(out, state, &dw.sp, &dw.dests, prev)
-	dw.plan = Plan{Algorithm: alg.Name(), Paths: &dw.sp, Tables: out}
-	return &dw.plan
+	return dw.ws.finish(alg, state, destinations, prev)
 }
 
-// noteAlive records the snapshot's liveness flags for the next diff.
-func (dw *DeltaWorkspace) noteAlive(state *SystemState, k int) {
+// syncAlive records the snapshot's liveness flags and reports whether any
+// differs from the previous computation's.
+func (dw *DeltaWorkspace) syncAlive(state *SystemState, k int) bool {
+	changed := len(dw.prevAlive) != k
 	if cap(dw.prevAlive) < k {
 		dw.prevAlive = make([]bool, k)
 	}
 	dw.prevAlive = dw.prevAlive[:k]
-	for i := 0; i < k; i++ {
-		dw.prevAlive[i] = state.Alive(topology.NodeID(i))
+	for i := range dw.prevAlive {
+		alive := state.Alive(topology.NodeID(i))
+		changed = changed || dw.prevAlive[i] != alive
+		dw.prevAlive[i] = alive
 	}
-}
-
-// aliveChanged reports whether any node's liveness differs from the
-// previous computation's snapshot.
-func (dw *DeltaWorkspace) aliveChanged(state *SystemState, k int) bool {
-	if len(dw.prevAlive) != k {
-		return true
-	}
-	for i := 0; i < k; i++ {
-		if dw.prevAlive[i] != state.Alive(topology.NodeID(i)) {
-			return true
-		}
-	}
-	return false
+	return changed
 }
 
 // repair attempts the incremental phase-2 update against the new weights in
 // dw.w[dw.cur^1]. It returns false — leaving dist/succ untouched — when the
 // workspace must (or is configured to) run the full pass instead.
-func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
-	if dw.mode == RecomputeFull || !dw.havePrev || dw.sp.n != k || dw.w[dw.cur].Dim() != k {
-		return false
-	}
-	// Node death (or revival) invalidates reachability wholesale: every
-	// column through the node changes at once, and the old successor trees
-	// are the wrong guide. Take the full pass.
-	if dw.aliveChanged(state, k) {
+func (dw *DeltaWorkspace) repair(k int) bool {
+	if dw.mode == RecomputeFull || !dw.havePrev || dw.ws.sp.n != k {
 		return false
 	}
 	dw.grow(k)
@@ -250,14 +225,12 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	if len(dw.dirty) == 0 {
 		return true // weights unchanged: dist/succ are already the fixpoint
 	}
-
-	// First marking pass: total affected volume, with early bailout. The
-	// walk is O(K) amortized per destination, so a bailout costs at most
-	// one O(K²) sweep before the full pass runs — noise against its K³.
+	// The affected volume is counted on the previous trees and adjacency,
+	// with early bailout; it costs the size of the dirty subtrees.
 	budget := int(dw.affectedCrossover * float64(k) * float64(k))
 	total := 0
 	for j := 0; j < k; j++ {
-		total += dw.markAffected(j, k)
+		total += dw.affectedSources(j)
 		if total > budget {
 			return false
 		}
@@ -265,109 +238,40 @@ func (dw *DeltaWorkspace) repair(k int, state *SystemState) bool {
 	dw.stats.DirtyVertices += len(dw.dirty)
 	dw.stats.AffectedPairs += total
 
-	// The re-labelling touches only existing edges, so one O(K²) sweep
-	// builds neighbour lists and the Dijkstra passes run over them instead
-	// of scanning whole matrix rows.
-	dw.buildAdjacency(newW, k)
-
-	// Second pass: re-mark (the memo is epoch-scoped) and re-label each
-	// destination column, then restore the fixpoint with one pivot pass
-	// per dirty vertex in ascending order.
+	dw.ws.sp.g.build(newW)
 	for j := 0; j < k; j++ {
-		if dw.markAffected(j, k) > 0 {
-			dw.repairColumn(j, k, newW)
-		}
-	}
-	for _, v := range dw.dirty {
-		dw.sp.pivotPass(v)
+		dw.repairDest(j)
 	}
 	return true
 }
 
 // grow sizes the repair scratch for dimension k.
 func (dw *DeltaWorkspace) grow(k int) {
-	if cap(dw.mark) >= k {
-		dw.mark = dw.mark[:k]
-		dw.label = dw.label[:k]
-		dw.hop = dw.hop[:k]
-		dw.settled = dw.settled[:k]
-		dw.adjOutOff = dw.adjOutOff[:k+1]
-		dw.adjInOff = dw.adjInOff[:k+1]
+	if len(dw.seen) == k {
 		return
 	}
-	dw.mark = make([]uint64, k)
-	dw.epoch = 0
-	dw.walk = make([]int, 0, k)
-	dw.aff = make([]int, 0, k)
-	dw.work = make([]int, 0, k)
+	dw.seen = make([]uint64, k)
+	dw.stamp = 0
+	dw.stack = make([]int32, 0, k)
+	dw.invalid = make([]int32, 0, k)
 	dw.dirty = make([]int, 0, k)
-	dw.label = make([]float64, k)
-	dw.hop = make([]topology.NodeID, k)
-	dw.settled = make([]bool, k)
-	dw.adjOutOff = make([]int32, k+1)
-	dw.adjInOff = make([]int32, k+1)
+	dw.changed = make([]edgeChange, 0, 4*k) // a mesh has at most 4 out-arcs per vertex
 }
 
-// buildAdjacency collects the finite off-diagonal entries of w into flat
-// out- and in-neighbour lists (ascending within each vertex). The edge
-// arrays regrow only when the edge count exceeds their capacity, so a fixed
-// topology stays allocation-free.
-func (dw *DeltaWorkspace) buildAdjacency(w *Matrix, k int) {
-	for j := 0; j <= k; j++ {
-		dw.adjInOff[j] = 0
-	}
-	edges := 0
-	for i := 0; i < k; i++ {
-		row := w.Row(i)
-		for j := 0; j < k; j++ {
-			if i != j && row[j] < Inf {
-				edges++
-				dw.adjInOff[j+1]++
-			}
-		}
-	}
-	// adjInOff[j+1] now holds in-degree(j); turn it into prefix sums.
-	for j := 0; j < k; j++ {
-		dw.adjInOff[j+1] += dw.adjInOff[j]
-	}
-	if cap(dw.adjOut) < edges {
-		dw.adjOut = make([]int32, edges)
-		dw.adjIn = make([]int32, edges)
-	}
-	dw.adjOut = dw.adjOut[:edges]
-	dw.adjIn = dw.adjIn[:edges]
-	// In-cursor per vertex; dw.work is free at this point.
-	cur := dw.work[:0]
-	for j := 0; j < k; j++ {
-		cur = append(cur, int(dw.adjInOff[j]))
-	}
-	n := 0
-	for i := 0; i < k; i++ {
-		row := w.Row(i)
-		dw.adjOutOff[i] = int32(n)
-		for j := 0; j < k; j++ {
-			if i != j && row[j] < Inf {
-				dw.adjOut[n] = int32(j)
-				n++
-				dw.adjIn[cur[j]] = int32(i)
-				cur[j]++
-			}
-		}
-	}
-	dw.adjOutOff[k] = int32(n)
-}
-
-// diffDirty compares the new and previous weight matrices and collects the
-// dirty vertices — both endpoints of every changed edge — in ascending
-// order. It returns false when the dirty fraction exceeds the crossover.
+// diffDirty compares the new and previous weight matrices, collects the
+// changed edges and the dirty vertices — both endpoints of every changed
+// edge — in ascending order. It returns false when the dirty fraction
+// exceeds the crossover.
 func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
-	dw.dirtyMark = resizeBools(dw.dirtyMark, k)
+	dw.dirtyMark = resized(dw.dirtyMark, k)
+	dw.changed = dw.changed[:0]
 	for i := 0; i < k; i++ {
 		a, b := newW.Row(i), oldW.Row(i)
 		for j := 0; j < k; j++ {
 			if a[j] != b[j] {
 				dw.dirtyMark[i] = true
 				dw.dirtyMark[j] = true
+				dw.changed = append(dw.changed, edgeChange{int32(i), int32(j), a[j], a[j] > b[j]})
 			}
 		}
 	}
@@ -380,150 +284,100 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
 	return float64(len(dw.dirty)) <= dw.dirtyCrossover*float64(k)
 }
 
-// markAffected walks the old successor trees towards destination j and
-// labels every source whose previous canonical path to j touches a dirty
-// vertex (endpoints included). It returns the number of affected sources.
-// The labels live in dw.mark, scoped to a fresh epoch per call; every
-// vertex other than j is labelled on return.
-func (dw *DeltaWorkspace) markAffected(j, k int) int {
-	dw.epoch++
-	e := dw.epoch << 1
-	mark := dw.mark
+// affectedSources returns how many sources i ≠ j had a previous canonical
+// path to j that touches a dirty vertex, endpoints included: k-1 when j
+// itself is dirty, otherwise the size of the union of the dirty vertices'
+// subtrees in j's previous shortest-path tree. It reads the previous
+// successors and the previous weights' adjacency, so it must run before the
+// repair rebuilds either.
+func (dw *DeltaWorkspace) affectedSources(j int) int {
 	if dw.dirtyMark[j] {
-		// Every path into a dirty destination touches it.
-		for i := 0; i < k; i++ {
-			mark[i] = e | 1
-		}
-		return k - 1
+		return dw.ws.sp.n - 1
 	}
-	succ := dw.sp.succ
-	walk := dw.walk[:0]
-	for i := 0; i < k; i++ {
-		if i == j || mark[i] >= e {
-			continue
-		}
-		v := i
-		var verdict uint64
-		for {
-			if mark[v] >= e {
-				verdict = mark[v] & 1
-				break
-			}
-			if dw.dirtyMark[v] {
-				mark[v] = e | 1
-				verdict = 1
-				break
-			}
-			s := succ[v*k+j]
-			// Unreachable pairs stay clean: with strictly positive
-			// weights any newly appearing path must cross a dirty
-			// vertex, which the pivot passes discover.
-			if s == topology.Invalid || int(s) == j {
-				mark[v] = e
-				verdict = 0
-				break
-			}
-			walk = append(walk, v)
-			v = int(s)
-		}
-		for _, u := range walk {
-			mark[u] = e | verdict
-		}
-		walk = walk[:0]
-	}
-	affected := 0
-	for i := 0; i < k; i++ {
-		if i != j && mark[i]&1 == 1 {
-			affected++
+	dw.stamp++
+	s := dw.stamp
+	dw.invalid = dw.invalid[:0]
+	for _, v := range dw.dirty {
+		if dw.seen[v] != s {
+			dw.walkSubtree(j, int32(v), s)
 		}
 	}
-	return affected
+	return len(dw.invalid)
 }
 
-// repairColumn re-labels the affected sources of destination j with a
-// Dijkstra pass restricted to clean intermediates: a source may leave
-// through the destination itself, through a clean pair (whose stored
-// distance is still exact), or through another affected-but-not-dirty
-// vertex once that vertex settles. Dirty vertices may start or end a path
-// but never extend one — the subsequent pivot passes own every route
-// through them. Settling order is smallest label, ties to the smallest
-// vertex id, so the first hops written are the canonical minima.
-// markAffected must have run for j in the current epoch.
-func (dw *DeltaWorkspace) repairColumn(j, k int, w *Matrix) {
-	mark, label, hop := dw.mark, dw.label, dw.hop
-	aff := dw.aff[:0]
-	for i := 0; i < k; i++ {
-		if i != j && mark[i]&1 == 1 {
-			aff = append(aff, i)
+// walkSubtree marks root and every vertex below it in j's current
+// shortest-path tree with stamp s and appends them to dw.invalid, skipping
+// the vertices an earlier walk under s already reached. Tree children of x
+// are its in-neighbours z with succ[z][j] == x.
+func (dw *DeltaWorkspace) walkSubtree(j int, root int32, s uint64) {
+	k, succ, g := dw.ws.sp.n, dw.ws.sp.succ, &dw.ws.sp.g
+	dw.seen[root] = s
+	dw.invalid = append(dw.invalid, root)
+	stack := append(dw.stack[:0], root)
+	for len(stack) > 0 {
+		x := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range g.in[g.inOff[x]:g.inOff[x+1]] {
+			if z := a.v; dw.seen[z] != s && succ[int(z)*k+j] == topology.NodeID(x) {
+				dw.seen[z] = s
+				dw.invalid = append(dw.invalid, z)
+				stack = append(stack, z)
+			}
 		}
 	}
-	dist, succ := &dw.sp.dist, dw.sp.succ
-	for _, i := range aff {
-		dw.settled[i] = false
-		row := w.Row(i)
-		best, bh := Inf, topology.Invalid
-		for _, h32 := range dw.adjOut[dw.adjOutOff[i]:dw.adjOutOff[i+1]] {
-			h := int(h32)
-			var cand float64
-			if h == j {
-				cand = row[h]
-			} else if mark[h]&1 == 0 {
-				dhj := dist.At(h, j)
-				if dhj == Inf {
-					continue
-				}
-				cand = row[h] + dhj
-			} else {
+	dw.stack = stack
+}
+
+// repairDest restores destination j's column of dist/succ to the fixpoint of
+// the new weights, given the changed edges and the column of the previous
+// fixpoint; dw.ws.sp.g must already hold the new adjacency. A destination no
+// changed edge can move costs one scan of the changed edges.
+func (dw *DeltaWorkspace) repairDest(j int) {
+	sp := &dw.ws.sp
+	k, dist, succ, g := sp.n, sp.dist.cells, sp.succ, &sp.g
+	dw.stamp++
+	s := dw.stamp
+	// An increased (or removed) tree edge invalidates the subtree below it.
+	dw.invalid = dw.invalid[:0]
+	for _, e := range dw.changed {
+		if u := int(e.u); e.increased && u != j && succ[u*k+j] == topology.NodeID(e.v) && dw.seen[u] != s {
+			dw.walkSubtree(j, e.u, s)
+		}
+	}
+	// Invalidated vertices lose their labels, then take the best route
+	// through a still-valid out-neighbour as their starting upper bound.
+	for _, z := range dw.invalid {
+		dist[int(z)*k+j], succ[int(z)*k+j] = Inf, topology.Invalid
+	}
+	sp.q = sp.q[:0]
+	for _, z := range dw.invalid {
+		at := int(z)*k + j
+		for _, a := range g.out[g.outOff[z]:g.outOff[z+1]] {
+			if dw.seen[a.v] == s {
 				continue
 			}
-			if cand < best {
-				best, bh = cand, topology.NodeID(h)
-			} else if cand == best && topology.NodeID(h) < bh {
-				bh = topology.NodeID(h)
+			if c := a.w + dist[int(a.v)*k+j]; c < dist[at] {
+				dist[at], succ[at] = c, topology.NodeID(a.v)
 			}
 		}
-		label[i], hop[i] = best, bh
-	}
-	work := append(dw.work[:0], aff...)
-	for len(work) > 0 {
-		bi := 0
-		for x := 1; x < len(work); x++ {
-			u, b := work[x], work[bi]
-			if label[u] < label[b] || (label[u] == label[b] && u < b) {
-				bi = x
-			}
-		}
-		v := work[bi]
-		work[bi] = work[len(work)-1]
-		work = work[:len(work)-1]
-		dw.settled[v] = true
-		lv := label[v]
-		if lv == Inf {
-			// No clean-restricted route: reset to unreachable and let
-			// the pivot passes rediscover any path through the dirty set.
-			dist.Set(v, j, Inf)
-			succ[v*k+j] = topology.Invalid
-			continue
-		}
-		dist.Set(v, j, lv)
-		succ[v*k+j] = hop[v]
-		if dw.dirtyMark[v] {
-			continue
-		}
-		for _, u32 := range dw.adjIn[dw.adjInOff[v]:dw.adjInOff[v+1]] {
-			u := int(u32)
-			// Only unsettled affected sources carry labels; mark[j] and
-			// settled[j] can be stale, so the destination is skipped
-			// explicitly.
-			if u == j || mark[u]&1 == 0 || dw.settled[u] {
-				continue
-			}
-			cand := w.At(u, v) + lv
-			if cand < label[u] {
-				label[u], hop[u] = cand, topology.NodeID(v)
-			} else if cand == label[u] && topology.NodeID(v) < hop[u] {
-				hop[u] = topology.NodeID(v)
-			}
+		if dist[at] < Inf {
+			sp.q.push(dist[at], z)
 		}
 	}
+	// Decreased and new edges offer their tails a shorter (or equal,
+	// lower-ID) route through a valid head.
+	for _, e := range dw.changed {
+		u, v := int(e.u), int(e.v)
+		if e.increased || u == j || dw.seen[v] == s {
+			continue
+		}
+		c := e.w + dist[v*k+j]
+		if at := u*k + j; c < dist[at] {
+			dist[at], succ[at] = c, topology.NodeID(v)
+			sp.q.push(c, e.u)
+		} else if c == dist[at] && c < Inf && topology.NodeID(v) < succ[at] {
+			succ[at] = topology.NodeID(v)
+		}
+	}
+	sp.settle(j)
 }

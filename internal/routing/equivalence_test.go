@@ -10,13 +10,15 @@ import (
 	"repro/internal/topology"
 )
 
-// This file pins the dense, slice-backed control plane to the semantics of
-// the original map-backed implementation: refCompute below is a faithful
-// transcription of the pre-refactor phases 1-3 (map snapshot, [][]float64
-// matrices, map tables), and the equivalence test asserts both produce
-// identical plans on meshes 4-8 with dead nodes, deadlock flags and link
-// faults. It also holds the AllocsPerRun regression guard for the
-// steady-state ComputeInto path.
+// This file pins the slice-backed control plane, with its sparse phase 2, to
+// the semantics of the original map-backed implementation: refCompute below
+// is a faithful transcription of the pre-refactor phases 1-3 (map snapshot,
+// [][]float64 matrices, the dense Floyd–Warshall pass of Fig 5, map tables),
+// and the equivalence test asserts both produce identical plans on meshes
+// 4-16 with dead nodes, deadlock flags, link faults and several EAR Q.
+// denseAllPairs is the same Floyd–Warshall pass on a Matrix, the oracle for
+// phase 2 alone. The file also holds the AllocsPerRun regression guard for
+// the steady-state ComputeInto path.
 
 // refTable mirrors the old map-backed Table.
 type refTable struct {
@@ -155,6 +157,53 @@ func refCompute(alg Algorithm, state *SystemState, destinations map[app.ModuleID
 	return dist, succ, tables
 }
 
+// denseAllPairs is the dense O(K³) Floyd–Warshall pass with the
+// smaller-successor tie-breaking of Fig 5, which phase 2 ran before the
+// per-destination Dijkstra pass. With exact weight arithmetic both reach
+// the same canonical fixpoint, so it is the bit-level oracle for
+// ShortestPaths.ComputeFrom.
+func denseAllPairs(w *Matrix) *ShortestPaths {
+	k := w.Dim()
+	sp := &ShortestPaths{n: k, dist: NewMatrix(k), succ: make([]topology.NodeID, k*k)}
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
+			sp.dist.Set(i, j, w.At(i, j))
+			switch {
+			case i == j:
+				sp.succ[i*k+j] = topology.NodeID(i)
+			case w.At(i, j) < Inf:
+				sp.succ[i*k+j] = topology.NodeID(j)
+			default:
+				sp.succ[i*k+j] = topology.Invalid
+			}
+		}
+	}
+	for n := 0; n < k; n++ {
+		for i := 0; i < k; i++ {
+			din := sp.dist.At(i, n)
+			if i == n || din == Inf {
+				continue
+			}
+			sin := sp.succ[i*k+n]
+			for j := 0; j < k; j++ {
+				dnj := sp.dist.At(n, j)
+				if j == n || j == i || dnj == Inf {
+					continue
+				}
+				through, at := din+dnj, i*k+j
+				switch {
+				case through < sp.dist.cells[at]:
+					sp.dist.cells[at], sp.succ[at] = through, sin
+				case through == sp.dist.cells[at] && sin != topology.Invalid &&
+					(sp.succ[at] == topology.Invalid || sin < sp.succ[at]):
+					sp.succ[at] = sin
+				}
+			}
+		}
+	}
+	return sp
+}
+
 // comparePlan asserts a dense plan matches the reference output exactly.
 func comparePlan(t *testing.T, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, plan *Plan, dist [][]float64, succ [][]topology.NodeID, tables map[topology.NodeID]refTable) {
 	t.Helper()
@@ -206,16 +255,37 @@ func comparePlan(t *testing.T, state *SystemState, destinations map[app.ModuleID
 	}
 }
 
+// earQ returns EAR with base Q, named for subtests: plain "EAR" for the
+// paper's Q = 2.
+func earQ(q float64) (string, Algorithm) {
+	p := DefaultEARParams()
+	name := "EAR"
+	if q != p.Q {
+		name = fmt.Sprintf("EAR-Q%g", q)
+	}
+	p.Q = q
+	return name, EAR{Params: p}
+}
+
 // TestDenseComputeMatchesMapReference drives both implementations over
-// meshes 4-8 with randomized battery levels, dead nodes, deadlock flags and
-// link faults, chaining each computation's tables into the next as prev so
-// the deadlock-avoidance path is exercised against real previous tables.
+// meshes 4-16, SDR and EAR at Q ∈ {2, 1.5, 3, 0.5} (values whose weight
+// sums are exact, so the sparse and dense passes must agree bit for bit),
+// with randomized battery levels, dead nodes, deadlock flags and link
+// faults, chaining each computation's tables into the next as prev so the
+// deadlock-avoidance path is exercised against real previous tables.
 func TestDenseComputeMatchesMapReference(t *testing.T) {
-	for _, meshSize := range []int{4, 5, 6, 7, 8} {
-		for _, alg := range []Algorithm{SDR{}, NewEAR()} {
-			t.Run(fmt.Sprintf("%dx%d/%s", meshSize, meshSize, alg.Name()), func(t *testing.T) {
+	algs := map[string]Algorithm{"SDR": SDR{}}
+	for _, q := range []float64{2, 1.5, 3, 0.5} {
+		name, alg := earQ(q)
+		algs[name] = alg
+	}
+	names := []string{"SDR", "EAR", "EAR-Q1.5", "EAR-Q3", "EAR-Q0.5"}
+	for _, meshSize := range []int{4, 5, 6, 7, 8, 12, 16} {
+		for _, name := range names {
+			alg := algs[name]
+			t.Run(fmt.Sprintf("%dx%d/%s", meshSize, meshSize, name), func(t *testing.T) {
 				mesh := topology.MustMesh(meshSize, meshSize, topology.DefaultSpacingCM)
-				rng := rand.New(rand.NewSource(int64(meshSize)*31 + int64(len(alg.Name()))))
+				rng := rand.New(rand.NewSource(int64(meshSize)*31 + int64(len(name))))
 				// Link faults: remove ~10% of the woven interconnects.
 				if _, _, err := topology.FailLinks(mesh.Graph, 0.1, uint64(meshSize)); err != nil {
 					t.Fatal(err)
@@ -231,7 +301,11 @@ func TestDenseComputeMatchesMapReference(t *testing.T) {
 				ws := NewWorkspace()
 				var prev *Tables
 				var refPrev map[topology.NodeID]refTable
-				for round := 0; round < 6; round++ {
+				rounds := 6
+				if meshSize >= 12 {
+					rounds = 2 // the map-backed O(K³) reference dominates
+				}
+				for round := 0; round < rounds; round++ {
 					for i := 0; i < k; i++ {
 						state.Status[i] = NodeStatus{
 							Alive:        rng.Float64() > 0.15,

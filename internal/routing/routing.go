@@ -7,8 +7,10 @@
 //	         physical length only; EAR additionally multiplies the length by
 //	         an exponential function of the destination node's reported
 //	         battery level, steering traffic away from depleted nodes.
-//	Phase 2: run an all-pairs shortest-path computation (a Floyd–Warshall
-//	         variant that also produces the successor matrix, Fig 5).
+//	Phase 2: run an all-pairs shortest-path computation that also produces
+//	         the successor matrix (Fig 5 gives it as a Floyd–Warshall
+//	         variant; this package runs one Dijkstra pass per destination
+//	         over the sparse mesh adjacency, with the same result).
 //	Phase 3: choose, for every node and every module, the destination
 //	         duplicate with the smallest distance while avoiding next hops
 //	         that are currently reported deadlocked (Fig 6), producing the
@@ -23,8 +25,10 @@
 // state changes — nearly every TDMA frame under EAR — the package is built
 // around dense, index-addressed storage (flat row-major matrices, slices
 // indexed by NodeID/ModuleID) and a reusable Workspace so that steady-state
-// recomputation performs no heap allocations. See DESIGN.md, "Performance
-// architecture".
+// recomputation performs no heap allocations. Phase 2 works on the sparse
+// adjacency of the weight matrix (a mesh node has at most four links), and
+// DeltaWorkspace repairs only the shortest-path trees a weight change can
+// move. See DESIGN.md, "Performance architecture".
 package routing
 
 import (

@@ -38,8 +38,8 @@ type Tables struct {
 // reset re-dimensions the tables and clears them, reusing backing storage.
 func (ts *Tables) reset(nodes, modules int) {
 	ts.nodes, ts.modules = nodes, modules
-	ts.has = resizeBools(ts.has, nodes)
-	ts.known = resizeBools(ts.known, modules)
+	ts.has = resized(ts.has, nodes)
+	ts.known = resized(ts.known, modules)
 	if cap(ts.routes) < nodes*modules {
 		ts.routes = make([]Route, nodes*modules)
 	}
@@ -56,15 +56,14 @@ func (ts *Tables) reset(nodes, modules int) {
 	}
 }
 
-// resizeBools returns a cleared bool slice of length n, reusing s's capacity.
-func resizeBools(s []bool, n int) []bool {
+// resized returns s with length n and every element zeroed, reusing s's
+// capacity.
+func resized[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	clear(s)
 	return s
 }
 
@@ -163,7 +162,7 @@ func (d *destSet) fill(destinations map[app.ModuleID][]topology.NodeID) {
 		}
 	}
 	d.modules = maxID + 1
-	d.known = resizeBools(d.known, d.modules)
+	d.known = resized(d.known, d.modules)
 	if cap(d.dups) < d.modules {
 		d.dups = make([][]topology.NodeID, d.modules)
 	}

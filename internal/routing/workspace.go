@@ -105,6 +105,12 @@ func NewWorkspace() *Workspace { return &Workspace{} }
 func ComputeInto(ws *Workspace, alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
 	alg.WeightsInto(&ws.w, state)
 	ws.sp.ComputeFrom(&ws.w)
+	return ws.finish(alg, state, destinations, prev)
+}
+
+// finish runs phase 3 on the workspace's shortest paths, writing the tables
+// into the buffer that is not prev, and returns the assembled plan.
+func (ws *Workspace) finish(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
 	ws.dests.fill(destinations)
 	out := &ws.tbl[0]
 	if prev == out {

@@ -432,9 +432,9 @@ func init() {
 			Faults:          "link=0.05:8,crash=0.02:12,wear=4000,kill=2@60:140,seed=1",
 		},
 		// Big-mesh scenarios: platforms far beyond the paper's 8x8 ceiling,
-		// tractable because the controller's phase 2 runs as an incremental
-		// dirty-set repair instead of a full Floyd–Warshall pass per change
-		// (see internal/routing.DeltaWorkspace). MaxCycles bounds both so a
+		// tractable because the controller's phase 2 runs on the sparse mesh
+		// adjacency and repairs only the shortest-path trees a change can
+		// move (see internal/routing.DeltaWorkspace). MaxCycles bounds both so a
 		// run finishes in bounded time; they are sweeps over the early-life
 		// battery-drain regime, not runs to system death.
 		{

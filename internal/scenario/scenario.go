@@ -134,10 +134,12 @@ type Spec struct {
 	// (0 = 1 = every frame). Invalid with the centralized plane.
 	StalenessFrames int
 	// Recompute selects the controller's phase-2 strategy: "" or
-	// "incremental" (dirty-set repair with automatic full fallback) or
-	// "full" (always the complete Floyd–Warshall pass). The strategies are
-	// byte-identical in every output, so the knob only changes controller
-	// compute time.
+	// "incremental" (shortest-path-tree repair with automatic full fallback) or
+	// "full" (always the complete per-destination shortest-path pass). The
+	// strategies are byte-identical in every output for any EARQ, except the
+	// reported recompute split, so the knob only changes controller compute
+	// time. It stays part of the fingerprint because the split is part of
+	// the result.
 	Recompute string
 	// FiniteControllers attaches thin-film batteries to the controllers
 	// (the Sec 7.3 scenario); false models the infinite-energy controller.

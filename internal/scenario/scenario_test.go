@@ -238,6 +238,33 @@ func TestBigMeshScenariosRegistered(t *testing.T) {
 	}
 }
 
+// TestRecomputeModesAgreeAtNonDyadicQ is the end-to-end form of the routing
+// lockstep test: `etsim -mesh 12 -jobs 4 -ear-q 1.3` must give the same run
+// under -recompute full and incremental. Q = 1.3 makes every penalty and
+// path sum round, which the incremental path once depended on not doing
+// (it completed 480 jobs against the full pass's 364).
+func TestRecomputeModesAgreeAtNonDyadicQ(t *testing.T) {
+	var res [2]sim.Result
+	for i, mode := range []string{"full", "incremental"} {
+		r, err := Spec{Mesh: 12, EARQ: 1.3, ConcurrentJobs: 4, Recompute: mode}.Simulate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = r
+	}
+	full, incr := res[0], res[1]
+	if !sameResult(full, incr) {
+		t.Fatalf("recompute modes diverged:\nfull:        %+v\nincremental: %+v", full, incr)
+	}
+	if full.JobsCompleted != 364 {
+		t.Errorf("jobs completed = %d, want 364", full.JobsCompleted)
+	}
+	if incr.IncrementalRecomputes == 0 || full.IncrementalRecomputes != 0 {
+		t.Errorf("recompute split: full mode %d/%d, incremental mode %d/%d",
+			full.FullRecomputes, full.IncrementalRecomputes, incr.FullRecomputes, incr.IncrementalRecomputes)
+	}
+}
+
 // TestGroupedTablesCoverTheRegistry: the grouped listing must contain every
 // registered scenario exactly once, with the built-in groups in canonical
 // order and no empty tables.

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"time"
 
 	"repro/internal/campaign"
@@ -55,9 +56,17 @@ type Config struct {
 	// store.DefaultBudget).
 	CacheBudget int64
 	// CacheDir, when non-empty, adds a disk cache layer that survives
-	// restarts.
+	// restarts. Entries live under CacheDir/<diskLayout>.
 	CacheDir string
 }
+
+// diskLayout names the generation of results the disk layer holds, as a
+// subdirectory of Config.CacheDir. Earlier builds wrote entries straight
+// into CacheDir, and their EAR results at non-dyadic Q depended on the
+// recompute mode (the default incremental one was wrong), so those files
+// are left unread rather than served. Bump it whenever stored results of
+// unchanged fingerprints would change.
+const diskLayout = "v2"
 
 // Server is the service core, independent of any particular listener: wrap
 // Handler() in an http.Server (cmd/etserve) or drive it with httptest.
@@ -72,7 +81,7 @@ type Server struct {
 func New(cfg Config) (*Server, error) {
 	var opts []store.Option
 	if cfg.CacheDir != "" {
-		opts = append(opts, store.WithDisk(cfg.CacheDir))
+		opts = append(opts, store.WithDisk(filepath.Join(cfg.CacheDir, diskLayout)))
 	}
 	st, err := store.New(cfg.CacheBudget, opts...)
 	if err != nil {

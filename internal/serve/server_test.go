@@ -9,10 +9,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/scenario"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -373,5 +377,44 @@ func TestDiskCacheAcrossServers(t *testing.T) {
 	st := s2.Store().Stats()
 	if st.DiskHits != 1 || st.Puts != 0 {
 		t.Fatalf("restart did not serve from disk: %+v", st)
+	}
+}
+
+// TestDiskCacheIgnoresOldLayout: an entry in the layout earlier builds wrote
+// (a file named by the fingerprint directly under the cache directory) is
+// never read back; the server computes the spec afresh and stores it under
+// the current layout.
+func TestDiskCacheIgnoresOldLayout(t *testing.T) {
+	const spec = `{"Mesh":4,"EARQ":1.3}`
+	sp, err := scenario.ParseSpecJSON([]byte(spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := sp.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	stale := []byte(`{"stale":true}`)
+	if err := os.WriteFile(filepath.Join(dir, fp.String()), stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1, CacheDir: dir})
+	resp, body := post(t, ts.URL+"/simulate", spec)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get(HeaderCache); got != "miss" {
+		t.Fatalf("X-Cache = %q, want miss: the old-layout entry was read", got)
+	}
+	if bytes.Equal(body, stale) {
+		t.Fatal("served the old-layout entry")
+	}
+	if st := s.Store().Stats(); st.DiskHits != 0 || st.Puts != 1 {
+		t.Fatalf("store stats %+v, want no disk hit and one put", st)
+	}
+	if _, err := os.Stat(filepath.Join(dir, diskLayout, fp.String())); err != nil {
+		t.Fatalf("fresh result not stored under the current layout: %v", err)
 	}
 }

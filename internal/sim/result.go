@@ -123,10 +123,12 @@ type Result struct {
 	// RoutingRecomputes).
 	ShardRecomputes []int
 	// FullRecomputes and IncrementalRecomputes split the recomputations by
-	// phase-2 strategy: complete Floyd–Warshall passes vs incremental
-	// dirty-set repairs (summed across regions under the sharded plane).
-	// Both strategies produce byte-identical tables, so every other result
-	// field is independent of the split.
+	// phase-2 strategy: complete per-destination passes vs incremental
+	// shortest-path-tree repairs (summed across regions under the sharded
+	// plane). Both strategies produce byte-identical tables for any EAR Q,
+	// so every other result field is independent of the split. The split
+	// itself follows routing.DeltaWorkspace's crossover policy and is part
+	// of every published result.
 	FullRecomputes        int
 	IncrementalRecomputes int
 	// DeadlockReports counts deadlock notifications uploaded to the

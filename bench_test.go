@@ -324,7 +324,7 @@ func BenchmarkMicro_ShortestPaths8x8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		routing.Compute(routing.NewEAR(), state, dests, nil)
+		routing.ComputeInto(routing.NewWorkspace(), routing.NewEAR(), state, dests, nil)
 	}
 }
 

@@ -77,7 +77,11 @@ const (
 //     settle with the shared Dijkstra loop.
 //
 // A destination with no increased tree edge and no such decreased edge is
-// left as it is after one scan of the changed edges.
+// left as it is after one scan of the changed edges. Before the repair the
+// adjacency is brought up to date: when every changed edge moved between two
+// finite weights — the arc set is unchanged, which the diff itself proves
+// for any Algorithm — the existing arcs are reweighted in place; otherwise
+// it is rebuilt from the new matrix.
 //
 // Because the repair and the full pass compute the same fixpoint —
 // d(u) = min over x of fl(w(u,x) + d(x)), successor the lowest-ID x attaining
@@ -116,6 +120,7 @@ type DeltaWorkspace struct {
 	dirtyMark []bool       // per vertex: incident edge changed
 	dirty     []int        // ascending dirty vertex list
 	changed   []edgeChange // changed edges, row-major order
+	reshaped  bool         // some changed edge appeared or disappeared
 	seen      []uint64     // per vertex: stamp of the last walk that reached it
 	stamp     uint64
 	stack     []int32 // subtree walk stack
@@ -238,7 +243,11 @@ func (dw *DeltaWorkspace) repair(k int) bool {
 	dw.stats.DirtyVertices += len(dw.dirty)
 	dw.stats.AffectedPairs += total
 
-	dw.ws.sp.g.build(newW)
+	if dw.reshaped {
+		dw.ws.sp.g.build(newW)
+	} else {
+		dw.ws.sp.g.patch(dw.changed)
+	}
 	for j := 0; j < k; j++ {
 		dw.repairDest(j)
 	}
@@ -260,11 +269,13 @@ func (dw *DeltaWorkspace) grow(k int) {
 
 // diffDirty compares the new and previous weight matrices, collects the
 // changed edges and the dirty vertices — both endpoints of every changed
-// edge — in ascending order. It returns false when the dirty fraction
-// exceeds the crossover.
+// edge — in ascending order, and records whether any edge appeared or
+// disappeared. It returns false when the dirty fraction exceeds the
+// crossover.
 func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
 	dw.dirtyMark = resized(dw.dirtyMark, k)
 	dw.changed = dw.changed[:0]
+	dw.reshaped = false
 	for i := 0; i < k; i++ {
 		a, b := newW.Row(i), oldW.Row(i)
 		for j := 0; j < k; j++ {
@@ -272,6 +283,7 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
 				dw.dirtyMark[i] = true
 				dw.dirtyMark[j] = true
 				dw.changed = append(dw.changed, edgeChange{int32(i), int32(j), a[j], a[j] > b[j]})
+				dw.reshaped = dw.reshaped || a[j] == Inf || b[j] == Inf
 			}
 		}
 	}
@@ -330,8 +342,9 @@ func (dw *DeltaWorkspace) walkSubtree(j int, root int32, s uint64) {
 
 // repairDest restores destination j's column of dist/succ to the fixpoint of
 // the new weights, given the changed edges and the column of the previous
-// fixpoint; dw.ws.sp.g must already hold the new adjacency. A destination no
-// changed edge can move costs one scan of the changed edges.
+// fixpoint; dw.ws.sp.g must already hold the new adjacency and sp.q must be
+// empty. A destination no changed edge can move costs one scan of the
+// changed edges.
 func (dw *DeltaWorkspace) repairDest(j int) {
 	sp := &dw.ws.sp
 	k, dist, succ, g := sp.n, sp.dist.cells, sp.succ, &sp.g
@@ -349,7 +362,6 @@ func (dw *DeltaWorkspace) repairDest(j int) {
 	for _, z := range dw.invalid {
 		dist[int(z)*k+j], succ[int(z)*k+j] = Inf, topology.Invalid
 	}
-	sp.q = sp.q[:0]
 	for _, z := range dw.invalid {
 		at := int(z)*k + j
 		for _, a := range g.out[g.outOff[z]:g.outOff[z+1]] {
@@ -361,7 +373,7 @@ func (dw *DeltaWorkspace) repairDest(j int) {
 			}
 		}
 		if dist[at] < Inf {
-			sp.q.push(dist[at], z)
+			sp.q.update(dist[at], z)
 		}
 	}
 	// Decreased and new edges offer their tails a shorter (or equal,
@@ -374,7 +386,7 @@ func (dw *DeltaWorkspace) repairDest(j int) {
 		c := e.w + dist[v*k+j]
 		if at := u*k + j; c < dist[at] {
 			dist[at], succ[at] = c, topology.NodeID(v)
-			sp.q.push(c, e.u)
+			sp.q.update(c, e.u)
 		} else if c == dist[at] && c < Inf && topology.NodeID(v) < succ[at] {
 			succ[at] = topology.NodeID(v)
 		}

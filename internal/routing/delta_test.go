@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/app"
@@ -71,6 +72,19 @@ func assertPlansIdentical(t *testing.T, got, want *Plan) {
 	}
 	if got.Fingerprint() != want.Fingerprint() {
 		t.Fatal("fingerprints diverged despite identical contents")
+	}
+}
+
+// assertAdjacencyIdentical asserts two CSR adjacencies are identical:
+// offsets, in-arcs and out-arcs, weights bit for bit.
+func assertAdjacencyIdentical(t *testing.T, got, want *adjacency) {
+	t.Helper()
+	if !slices.Equal(got.inOff, want.inOff) || !slices.Equal(got.outOff, want.outOff) {
+		t.Fatalf("adjacency offsets diverged:\nin  %v vs %v\nout %v vs %v", got.inOff, want.inOff, got.outOff, want.outOff)
+	}
+	sameArcs := func(a, b arc) bool { return a.v == b.v && math.Float64bits(a.w) == math.Float64bits(b.w) }
+	if !slices.EqualFunc(got.in, want.in, sameArcs) || !slices.EqualFunc(got.out, want.out, sameArcs) {
+		t.Fatalf("adjacency arcs diverged:\nin  %v vs %v\nout %v vs %v", got.in, want.in, got.out, want.out)
 	}
 }
 
@@ -201,10 +215,13 @@ func (a matrixAlg) WeightsInto(w *Matrix, state *SystemState) {
 // single-weight (and occasional burst) perturbations on a random directed
 // graph — weight changes, link deletions, link insertions — asserting after
 // every step that the incremental repair matches a from-scratch computation
-// byte-identically, and that the from-scratch sparse pass matches the dense
-// Floyd–Warshall oracle, while sweeping the crossover thresholds so both
-// sides of the fallback boundary are exercised. Weights are multiples of 1/8
-// so path sums carry no rounding, which the dense oracle needs to agree.
+// byte-identically, that the from-scratch sparse pass matches the dense
+// Floyd–Warshall oracle, and that the repair's adjacency — reweighted in
+// place when only finite weights moved, rebuilt when an entry moved to or
+// from Inf — equals one built from the new weights, while sweeping the
+// crossover thresholds so both sides of the fallback boundary are
+// exercised. Weights are multiples of 1/8 so path sums carry no rounding,
+// which the dense oracle needs to agree.
 func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 	for _, meshSize := range []int{3, 4} {
 		t.Run(fmt.Sprintf("%dx%d", meshSize, meshSize), func(t *testing.T) {
@@ -228,7 +245,10 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 			ws := NewWorkspace()
 			var dPrev, fPrev *Tables
 			crossovers := [][2]float64{{0, 0}, {0.05, 0.02}, {0.3, 0.1}, {1, 1}}
+			before := NewMatrix(k)
+			var patched, rebuilt int
 			for step := 0; step < 400; step++ {
+				copy(before.cells, w.cells)
 				if step%25 == 0 {
 					c := crossovers[(step/25)%len(crossovers)]
 					dw.SetCrossover(c[0], c[1])
@@ -245,15 +265,36 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 						w.Set(i, j, randWeight())
 					}
 				}
+				reshaped := false
+				for i, v := range w.cells {
+					reshaped = reshaped || (v == Inf) != (before.cells[i] == Inf)
+				}
+				incremental := dw.Stats().Incremental
 				dPlan := dw.ComputeInto(alg, state, dests, dPrev)
 				fPlan := ComputeInto(ws, alg, state, dests, fPrev)
 				assertPlansIdentical(t, dPlan, fPlan)
 				assertPathsIdentical(t, fPlan.Paths, denseAllPairs(&w))
+				var fresh adjacency
+				fresh.build(&w)
+				assertAdjacencyIdentical(t, &dw.ws.sp.g, &fresh)
+				if dw.Stats().Incremental > incremental && len(dw.changed) > 0 {
+					if dw.reshaped != reshaped {
+						t.Fatalf("step %d: repair took reshaped=%v, want %v", step, dw.reshaped, reshaped)
+					}
+					if reshaped {
+						rebuilt++
+					} else {
+						patched++
+					}
+				}
 				dPrev, fPrev = dPlan.Tables, fPlan.Tables
 			}
 			stats := dw.Stats()
 			if stats.Incremental == 0 || stats.Full == 0 {
 				t.Fatalf("perturbations did not exercise both sides of the crossover: %+v", stats)
+			}
+			if patched == 0 || rebuilt == 0 {
+				t.Fatalf("repairs did not exercise both adjacency updates: %d patched, %d rebuilt", patched, rebuilt)
 			}
 		})
 	}

@@ -1,10 +1,6 @@
 package routing
 
-import (
-	"fmt"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // ShortestPaths is the result of phase 2: the all-pairs distance matrix D and
 // the successor matrix S, both stored flat for cache locality. Succ(i, j) is
@@ -17,7 +13,9 @@ import (
 // minimum. The fixpoint is unique unless rounding absorbs an edge weight
 // (fl(w + d) == d), and with exact weight sums it is also what the
 // Floyd–Warshall variant of Fig 5 computes (see DESIGN.md, "Performance
-// architecture").
+// architecture"). Both ComputeFrom and the DeltaWorkspace repair keep
+// S(u, j) == topology.Invalid exactly when D(u, j) == Inf, which lets phase 3
+// copy successor rows wholesale.
 type ShortestPaths struct {
 	n    int
 	dist Matrix
@@ -25,16 +23,7 @@ type ShortestPaths struct {
 
 	// Phase-2 scratch, reused across computations.
 	g adjacency
-	q minHeap
-}
-
-// AllPairs computes shortest distances and successors for every ordered
-// node pair of the weight matrix W. Hot paths should reuse a ShortestPaths
-// via ComputeFrom instead.
-func AllPairs(w Matrix) *ShortestPaths {
-	sp := &ShortestPaths{}
-	sp.ComputeFrom(&w)
-	return sp
+	q indexedHeap
 }
 
 // ComputeFrom recomputes the all-pairs shortest paths for the weight matrix
@@ -45,17 +34,13 @@ func (sp *ShortestPaths) ComputeFrom(w *Matrix) {
 	k := w.Dim()
 	sp.n = k
 	sp.g.build(w)
+	sp.q.reset(k)
 	sp.dist.Reset(k)
-	if cap(sp.succ) < k*k {
-		sp.succ = make([]topology.NodeID, k*k)
-	}
-	sp.succ = sp.succ[:k*k]
-	for i := range sp.succ {
-		sp.succ[i] = topology.Invalid
-	}
+	sp.succ = sized(sp.succ, k*k)
+	fill(sp.succ, topology.Invalid)
 	for j := 0; j < k; j++ {
 		sp.succ[j*k+j] = topology.NodeID(j)
-		sp.q = append(sp.q[:0], heapItem{0, int32(j)})
+		sp.q.update(0, int32(j))
 		sp.settle(j)
 	}
 }
@@ -68,12 +53,9 @@ func (sp *ShortestPaths) ComputeFrom(w *Matrix) {
 func (sp *ShortestPaths) settle(j int) {
 	k := sp.n
 	dist, succ, g := sp.dist.cells, sp.succ, &sp.g
-	for len(sp.q) > 0 {
+	for len(sp.q.items) > 0 {
 		it := sp.q.pop()
 		x := int(it.v)
-		if it.key != dist[x*k+j] {
-			continue // stale: x was relabelled after this push
-		}
 		for _, a := range g.in[g.inOff[x]:g.inOff[x+1]] {
 			z := int(a.v)
 			if z == j {
@@ -82,7 +64,7 @@ func (sp *ShortestPaths) settle(j int) {
 			c := a.w + it.key
 			if at := z*k + j; c < dist[at] {
 				dist[at], succ[at] = c, topology.NodeID(x)
-				sp.q.push(c, a.v)
+				sp.q.update(c, a.v)
 			} else if c == dist[at] && topology.NodeID(x) < succ[at] {
 				succ[at] = topology.NodeID(x)
 			}
@@ -149,43 +131,83 @@ func (g *adjacency) build(w *Matrix) {
 	g.inOff[0] = 0
 }
 
+// patch rewrites, in place, the in- and out-arc weights of edges whose
+// weight moved between two finite values. Such a change keeps the arc set,
+// so the offsets and list order stay exactly what build would produce.
+func (g *adjacency) patch(changed []edgeChange) {
+	for _, e := range changed {
+		setArc(g.out[g.outOff[e.u]:g.outOff[e.u+1]], e.v, e.w)
+		setArc(g.in[g.inOff[e.v]:g.inOff[e.v+1]], e.u, e.w)
+	}
+}
+
+// setArc sets the weight of the arc to v in list.
+func setArc(list []arc, v int32, w float64) {
+	for i := range list {
+		if list[i].v == v {
+			list[i].w = w
+			return
+		}
+	}
+}
+
 // heapItem is a queued label: the tentative distance inline with its vertex.
 type heapItem struct {
 	key float64
 	v   int32
 }
 
-// minHeap is a binary min-heap on key with lazy deletion: a relabelled
-// vertex is pushed again and its stale entries are skipped when popped.
-type minHeap []heapItem
+// indexedHeap is a binary min-heap of vertices on their tentative distance,
+// with decrease-key: pos[v] is v's slot in items, or -1 while v is not
+// queued, so each vertex is queued at most once and every pop is live.
+// Popping leaves pos all -1 once the heap drains, so one reset per
+// dimension suffices.
+type indexedHeap struct {
+	items []heapItem
+	pos   []int32
+}
 
-func (h *minHeap) push(key float64, v int32) {
-	q := append(*h, heapItem{key, v})
-	i := len(q) - 1
+// reset empties the heap for vertices 0..k-1.
+func (h *indexedHeap) reset(k int) {
+	h.items = h.items[:0]
+	h.pos = sized(h.pos, k)
+	fill(h.pos, -1)
+}
+
+// update queues v under key, or lowers v's key if it is already queued; key
+// must not exceed the queued one.
+func (h *indexedHeap) update(key float64, v int32) {
+	i := int(h.pos[v])
+	if i < 0 {
+		i = len(h.items)
+		h.items = append(h.items, heapItem{})
+	}
+	q := h.items
 	for i > 0 {
 		p := (i - 1) / 2
 		if q[p].key <= key {
 			break
 		}
 		q[i] = q[p]
+		h.pos[q[i].v] = int32(i)
 		i = p
 	}
 	q[i] = heapItem{key, v}
-	*h = q
+	h.pos[v] = int32(i)
 }
 
-func (h *minHeap) pop() heapItem {
-	q := *h
-	top := q[0]
-	last := q[len(q)-1]
+// pop removes and returns the item with the smallest key.
+func (h *indexedHeap) pop() heapItem {
+	q := h.items
+	top, last := q[0], q[len(q)-1]
+	h.pos[top.v] = -1
 	q = q[:len(q)-1]
-	n := len(q)
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= n {
-			break
-		}
+	h.items = q
+	if len(q) == 0 {
+		return top
+	}
+	i, n := 0, len(q)
+	for c := 1; c < n; c = 2*i + 1 {
 		if c+1 < n && q[c+1].key < q[c].key {
 			c++
 		}
@@ -193,12 +215,11 @@ func (h *minHeap) pop() heapItem {
 			break
 		}
 		q[i] = q[c]
+		h.pos[q[i].v] = int32(i)
 		i = c
 	}
-	if n > 0 {
-		q[i] = last
-	}
-	*h = q
+	q[i] = last
+	h.pos[last.v] = int32(i)
 	return top
 }
 
@@ -217,48 +238,11 @@ func (sp *ShortestPaths) Succ(src, dst topology.NodeID) topology.NodeID {
 	return sp.succ[int(src)*sp.n+int(dst)]
 }
 
-// Reachable reports whether dst is reachable from src.
-func (sp *ShortestPaths) Reachable(src, dst topology.NodeID) bool {
-	return sp.Dist(src, dst) < Inf
-}
-
-// inRange reports whether both endpoints index valid nodes.
-func (sp *ShortestPaths) inRange(src, dst topology.NodeID) bool {
-	return int(src) >= 0 && int(src) < sp.n && int(dst) >= 0 && int(dst) < sp.n
-}
-
-// Path reconstructs the node sequence of a shortest path from src to dst
-// (inclusive of both endpoints) by following successors. It returns an error
-// if dst is unreachable or a successor loop is detected (which would indicate
-// a corrupted matrix).
-func (sp *ShortestPaths) Path(src, dst topology.NodeID) ([]topology.NodeID, error) {
-	if !sp.inRange(src, dst) {
-		return nil, fmt.Errorf("routing: path endpoints %d -> %d out of range", src, dst)
-	}
-	if !sp.Reachable(src, dst) {
-		return nil, fmt.Errorf("routing: node %d unreachable from %d", dst, src)
-	}
-	path := []topology.NodeID{src}
-	cur := src
-	for cur != dst {
-		next := sp.Succ(cur, dst)
-		if next == topology.Invalid {
-			return nil, fmt.Errorf("routing: missing successor from %d towards %d", cur, dst)
-		}
-		path = append(path, next)
-		cur = next
-		if len(path) > sp.n {
-			return nil, fmt.Errorf("routing: successor loop detected between %d and %d", src, dst)
-		}
-	}
-	return path, nil
-}
-
 // HopCount returns the number of hops on the shortest path from src to dst,
 // or -1 if unreachable. It walks the successor matrix directly and performs
-// no allocation.
+// no allocation; an unreachable pair stops at its Invalid successor.
 func (sp *ShortestPaths) HopCount(src, dst topology.NodeID) int {
-	if !sp.inRange(src, dst) || !sp.Reachable(src, dst) {
+	if int(src) < 0 || int(src) >= sp.n || int(dst) < 0 || int(dst) >= sp.n {
 		return -1
 	}
 	hops := 0

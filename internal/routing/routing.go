@@ -26,9 +26,13 @@
 // around dense, index-addressed storage (flat row-major matrices, slices
 // indexed by NodeID/ModuleID) and a reusable Workspace so that steady-state
 // recomputation performs no heap allocations. Phase 2 works on the sparse
-// adjacency of the weight matrix (a mesh node has at most four links), and
-// DeltaWorkspace repairs only the shortest-path trees a weight change can
-// move. See DESIGN.md, "Performance architecture".
+// adjacency of the weight matrix (a mesh node has at most four links) with
+// a decrease-key heap, and DeltaWorkspace repairs only the shortest-path
+// trees a weight change can move, reweighting the adjacency in place when
+// no link appeared or vanished. Phase 3 works row by row: it hoists
+// liveness once per call, copies each alive node's successor row into its
+// next-hop row and scans only the alive duplicates. See DESIGN.md,
+// "Performance architecture".
 package routing
 
 import (
@@ -127,14 +131,8 @@ func NewMatrix(k int) Matrix {
 // diagonal, reusing the backing array when its capacity allows.
 func (m *Matrix) Reset(k int) {
 	m.n = k
-	need := k * k
-	if cap(m.cells) < need {
-		m.cells = make([]float64, need)
-	}
-	m.cells = m.cells[:need]
-	for i := range m.cells {
-		m.cells[i] = Inf
-	}
+	m.cells = sized(m.cells, k*k)
+	fill(m.cells, Inf)
 	for i := 0; i < k; i++ {
 		m.cells[i*k+i] = 0
 	}
@@ -164,14 +162,6 @@ type Algorithm interface {
 	// reported battery levels. The controller re-runs the routing algorithm
 	// only when information it actually uses has changed.
 	NeedsBatteryInfo() bool
-}
-
-// Weights returns a freshly allocated phase-1 weight matrix for the snapshot.
-// Hot paths should use Algorithm.WeightsInto with a reused matrix instead.
-func Weights(alg Algorithm, state *SystemState) Matrix {
-	var w Matrix
-	alg.WeightsInto(&w, state)
-	return w
 }
 
 // SDR is the shortest-distance routing algorithm: the weight of an existing

@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -19,10 +20,61 @@ func fullState(g *topology.Graph, levels int) *SystemState {
 	return st
 }
 
+// weightsOf returns a freshly allocated phase-1 weight matrix.
+func weightsOf(alg Algorithm, state *SystemState) Matrix {
+	var w Matrix
+	alg.WeightsInto(&w, state)
+	return w
+}
+
+// pathsOf returns freshly allocated phase-2 shortest paths.
+func pathsOf(alg Algorithm, state *SystemState) *ShortestPaths {
+	w := weightsOf(alg, state)
+	sp := &ShortestPaths{}
+	sp.ComputeFrom(&w)
+	return sp
+}
+
+// Reachable reports whether dst is reachable from src.
+func (sp *ShortestPaths) Reachable(src, dst topology.NodeID) bool {
+	return sp.Dist(src, dst) < Inf
+}
+
+// inRange reports whether both endpoints index valid nodes.
+func (sp *ShortestPaths) inRange(src, dst topology.NodeID) bool {
+	return int(src) >= 0 && int(src) < sp.n && int(dst) >= 0 && int(dst) < sp.n
+}
+
+// pathOf reconstructs the node sequence of a shortest path from src to dst
+// (inclusive of both endpoints) by following successors. It returns an error
+// if dst is unreachable or a successor loop is detected (which would indicate
+// a corrupted matrix).
+func pathOf(sp *ShortestPaths, src, dst topology.NodeID) ([]topology.NodeID, error) {
+	if !sp.inRange(src, dst) {
+		return nil, fmt.Errorf("routing: path endpoints %d -> %d out of range", src, dst)
+	}
+	if !sp.Reachable(src, dst) {
+		return nil, fmt.Errorf("routing: node %d unreachable from %d", dst, src)
+	}
+	path := []topology.NodeID{src}
+	for cur := src; cur != dst; {
+		next := sp.Succ(cur, dst)
+		if next == topology.Invalid {
+			return nil, fmt.Errorf("routing: missing successor from %d towards %d", cur, dst)
+		}
+		path = append(path, next)
+		cur = next
+		if len(path) > sp.n {
+			return nil, fmt.Errorf("routing: successor loop detected between %d and %d", src, dst)
+		}
+	}
+	return path, nil
+}
+
 func TestSDRWeightsMatchLinkLengths(t *testing.T) {
 	mesh := topology.MustMesh(3, 3, 2.5)
 	state := fullState(mesh.Graph, 8)
-	w := Weights(SDR{}, state)
+	w := weightsOf(SDR{}, state)
 	if w.Dim() != 9 {
 		t.Fatalf("weight matrix dimension = %d, want 9", w.Dim())
 	}
@@ -47,7 +99,7 @@ func TestWeightsExcludeDeadNodes(t *testing.T) {
 	b, _ := mesh.IDAt(2, 1)
 	state.Status[b] = NodeStatus{Alive: false}
 	for _, alg := range []Algorithm{SDR{}, NewEAR()} {
-		w := Weights(alg, state)
+		w := weightsOf(alg, state)
 		if !math.IsInf(w.At(int(a), int(b)), 1) {
 			t.Errorf("%s: edge into dead node has weight %g, want +Inf", alg.Name(), w.At(int(a), int(b)))
 		}
@@ -92,7 +144,7 @@ func TestEARWeightsPenalizeLowBattery(t *testing.T) {
 	// Node b is nearly depleted.
 	state.Status[b] = NodeStatus{Alive: true, BatteryLevel: 1}
 	ear := NewEAR()
-	w := Weights(ear, state)
+	w := weightsOf(ear, state)
 	if w.At(int(a), int(b)) <= w.At(int(b), int(c)) {
 		t.Errorf("edge into depleted node (%g) should weigh more than edge into full node (%g)",
 			w.At(int(a), int(b)), w.At(int(b), int(c)))
@@ -103,7 +155,7 @@ func TestEARWeightsPenalizeLowBattery(t *testing.T) {
 	}
 	// Zero-value EAR falls back to default parameters rather than dividing by zero.
 	var zeroEAR EAR
-	wz := Weights(zeroEAR, state)
+	wz := weightsOf(zeroEAR, state)
 	if math.IsNaN(wz.At(int(a), int(b))) || wz.At(int(a), int(b)) <= 0 {
 		t.Errorf("zero-value EAR produced weight %g", wz.At(int(a), int(b)))
 	}
@@ -143,13 +195,13 @@ func TestMatrixResetReusesStorage(t *testing.T) {
 func TestAllPairsOnLineGraph(t *testing.T) {
 	mesh := topology.MustMesh(4, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := pathsOf(SDR{}, state)
 	a, _ := mesh.IDAt(1, 1)
 	d, _ := mesh.IDAt(4, 1)
 	if sp.Dist(a, d) != 3 {
 		t.Errorf("distance end-to-end = %g, want 3", sp.Dist(a, d))
 	}
-	path, err := sp.Path(a, d)
+	path, err := pathOf(sp, a, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +219,7 @@ func TestAllPairsOnLineGraph(t *testing.T) {
 func TestHopCountDoesNotAllocate(t *testing.T) {
 	mesh := topology.MustMesh(6, 6, 1)
 	state := fullState(mesh.Graph, 8)
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := pathsOf(SDR{}, state)
 	a, _ := mesh.IDAt(1, 1)
 	d, _ := mesh.IDAt(6, 6)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -183,7 +235,7 @@ func TestHopCountDoesNotAllocate(t *testing.T) {
 func TestAllPairsMatchesManhattanOnMesh(t *testing.T) {
 	mesh := topology.MustMesh(5, 4, 2)
 	state := fullState(mesh.Graph, 8)
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := pathsOf(SDR{}, state)
 	for _, from := range mesh.Nodes() {
 		for _, to := range mesh.Nodes() {
 			want := float64(from.Pos.Manhattan(to.Pos)) * 2
@@ -202,17 +254,17 @@ func TestAllPairsUnreachableAndDeadNodes(t *testing.T) {
 	c, _ := mesh.IDAt(3, 1)
 	// Killing the middle node of a line disconnects the endpoints.
 	state.Status[b] = NodeStatus{Alive: false}
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := pathsOf(SDR{}, state)
 	if sp.Reachable(a, c) {
 		t.Error("endpoints should be unreachable with the middle node dead")
 	}
-	if _, err := sp.Path(a, c); err == nil {
+	if _, err := pathOf(sp, a, c); err == nil {
 		t.Error("Path across a dead node should fail")
 	}
 	if sp.HopCount(a, c) != -1 {
 		t.Errorf("HopCount unreachable = %d, want -1", sp.HopCount(a, c))
 	}
-	if _, err := sp.Path(a, topology.NodeID(99)); err == nil {
+	if _, err := pathOf(sp, a, topology.NodeID(99)); err == nil {
 		t.Error("Path with out-of-range destination should fail")
 	}
 	if sp.HopCount(a, topology.NodeID(99)) != -1 {
@@ -228,7 +280,7 @@ func TestAllPairsTriangleInequalityProperty(t *testing.T) {
 		state.Status[id] = NodeStatus{Alive: true, BatteryLevel: id % 8}
 	}
 	for _, alg := range []Algorithm{SDR{}, NewEAR()} {
-		sp := AllPairs(Weights(alg, state))
+		sp := pathsOf(alg, state)
 		k := mesh.Size()
 		for i := 0; i < k; i++ {
 			for j := 0; j < k; j++ {
@@ -249,11 +301,11 @@ func TestAllPairsPathDistanceConsistencyProperty(t *testing.T) {
 		h := int(heightRaw%5) + 2
 		mesh := topology.MustMesh(w, h, 1)
 		state := fullState(mesh.Graph, 8)
-		sp := AllPairs(Weights(SDR{}, state))
+		sp := pathsOf(SDR{}, state)
 		// The reconstructed path length must equal the reported distance.
 		for _, from := range mesh.Nodes() {
 			for _, to := range mesh.Nodes() {
-				path, err := sp.Path(from.ID, to.ID)
+				path, err := pathOf(sp, from.ID, to.ID)
 				if err != nil {
 					return false
 				}
@@ -285,7 +337,7 @@ func TestBuildTablesPicksNearestDuplicate(t *testing.T) {
 	n3, _ := mesh.IDAt(3, 1)
 	n4, _ := mesh.IDAt(4, 1)
 	dests := map[app.ModuleID][]topology.NodeID{1: {n1, n4}}
-	sp := AllPairs(Weights(SDR{}, state))
+	sp := pathsOf(SDR{}, state)
 	tables := BuildTables(state, sp, dests, nil)
 	r, ok := tables.RouteTo(n2, 1)
 	if !ok || r.Dest != n1 {
@@ -319,13 +371,13 @@ func TestBuildTablesEARPrefersChargedDuplicate(t *testing.T) {
 	state.Status[right] = NodeStatus{Alive: true, BatteryLevel: 7}
 	dests := map[app.ModuleID][]topology.NodeID{2: {left, right}}
 
-	sdrPlan := Compute(SDR{}, state, dests, nil)
+	sdrPlan := ComputeInto(NewWorkspace(), SDR{}, state, dests, nil)
 	rSDR, _ := sdrPlan.Tables.RouteTo(mid, 2)
 	if rSDR.Dest != left {
 		t.Errorf("SDR picked %d, want the smaller-ID duplicate %d on a distance tie", rSDR.Dest, left)
 	}
 
-	earPlan := Compute(NewEAR(), state, dests, nil)
+	earPlan := ComputeInto(NewWorkspace(), NewEAR(), state, dests, nil)
 	rEAR, _ := earPlan.Tables.RouteTo(mid, 2)
 	if rEAR.Dest != right {
 		t.Errorf("EAR picked %d, want the well-charged duplicate %d", rEAR.Dest, right)
@@ -340,14 +392,14 @@ func TestBuildTablesSkipsDeadDuplicates(t *testing.T) {
 	right, _ := mesh.IDAt(3, 1)
 	state.Status[left] = NodeStatus{Alive: false}
 	dests := map[app.ModuleID][]topology.NodeID{1: {left, right}}
-	plan := Compute(SDR{}, state, dests, nil)
+	plan := ComputeInto(NewWorkspace(), SDR{}, state, dests, nil)
 	r, _ := plan.Tables.RouteTo(mid, 1)
 	if r.Dest != right {
 		t.Errorf("route destination = %d, want the surviving duplicate %d", r.Dest, right)
 	}
 	// With every duplicate dead the route must be invalid.
 	state.Status[right] = NodeStatus{Alive: false}
-	plan = Compute(SDR{}, state, dests, nil)
+	plan = ComputeInto(NewWorkspace(), SDR{}, state, dests, nil)
 	r, _ = plan.Tables.RouteTo(mid, 1)
 	if r.Valid() {
 		t.Errorf("route to a fully-dead module reported valid: %+v", r)
@@ -365,14 +417,14 @@ func TestBuildTablesDeadlockAvoidance(t *testing.T) {
 	right, _ := mesh.IDAt(3, 1)
 	dests := map[app.ModuleID][]topology.NodeID{1: {left, right}}
 
-	first := Compute(SDR{}, state, dests, nil)
+	first := ComputeInto(NewWorkspace(), SDR{}, state, dests, nil)
 	r0, _ := first.Tables.RouteTo(mid, 1)
 	if r0.Dest != left {
 		t.Fatalf("initial route = %+v, want left duplicate", r0)
 	}
 
 	state.Status[mid] = NodeStatus{Alive: true, BatteryLevel: 7, Deadlocked: true}
-	second := Compute(SDR{}, state, dests, first.Tables)
+	second := ComputeInto(NewWorkspace(), SDR{}, state, dests, first.Tables)
 	r1, _ := second.Tables.RouteTo(mid, 1)
 	if r1.Dest != right || r1.NextHop == r0.NextHop {
 		t.Fatalf("deadlocked node not redirected: before %+v, after %+v", r0, r1)
@@ -388,9 +440,9 @@ func TestBuildTablesDeadlockFallbackWhenNoAlternative(t *testing.T) {
 	a, _ := mesh.IDAt(1, 1)
 	b, _ := mesh.IDAt(2, 1)
 	dests := map[app.ModuleID][]topology.NodeID{1: {b}}
-	first := Compute(SDR{}, state, dests, nil)
+	first := ComputeInto(NewWorkspace(), SDR{}, state, dests, nil)
 	state.Status[a] = NodeStatus{Alive: true, BatteryLevel: 7, Deadlocked: true}
-	second := Compute(SDR{}, state, dests, first.Tables)
+	second := ComputeInto(NewWorkspace(), SDR{}, state, dests, first.Tables)
 	r, _ := second.Tables.RouteTo(a, 1)
 	if !r.Valid() || r.Dest != b {
 		t.Fatalf("fallback route = %+v, want destination %d", r, b)
@@ -400,7 +452,7 @@ func TestBuildTablesDeadlockFallbackWhenNoAlternative(t *testing.T) {
 func TestTablesNextHopRelay(t *testing.T) {
 	mesh := topology.MustMesh(4, 1, 1)
 	state := fullState(mesh.Graph, 8)
-	plan := Compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
+	plan := ComputeInto(NewWorkspace(), SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
 	a, _ := mesh.IDAt(1, 1)
 	b, _ := mesh.IDAt(2, 1)
 	d, _ := mesh.IDAt(4, 1)
@@ -430,7 +482,7 @@ func TestBuildTablesSkipsDeadSources(t *testing.T) {
 	state := fullState(mesh.Graph, 8)
 	dead, _ := mesh.IDAt(1, 1)
 	state.Status[dead] = NodeStatus{Alive: false}
-	plan := Compute(SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
+	plan := ComputeInto(NewWorkspace(), SDR{}, state, map[app.ModuleID][]topology.NodeID{}, nil)
 	if plan.Tables.Has(dead) {
 		t.Error("dead node received a routing table")
 	}
@@ -474,7 +526,7 @@ func TestSystemStateEqualAndClone(t *testing.T) {
 func TestComputePlanMetadata(t *testing.T) {
 	mesh := topology.MustMesh(2, 2, 1)
 	state := fullState(mesh.Graph, 8)
-	plan := Compute(NewEAR(), state, map[app.ModuleID][]topology.NodeID{}, nil)
+	plan := ComputeInto(NewWorkspace(), NewEAR(), state, map[app.ModuleID][]topology.NodeID{}, nil)
 	if plan.Algorithm != "EAR" {
 		t.Errorf("plan algorithm = %q, want EAR", plan.Algorithm)
 	}
@@ -486,10 +538,10 @@ func TestComputePlanMetadata(t *testing.T) {
 func BenchmarkAllPairs8x8(b *testing.B) {
 	mesh := topology.MustMesh(8, 8, 1)
 	state := fullState(mesh.Graph, 8)
-	w := Weights(SDR{}, state)
+	w := weightsOf(SDR{}, state)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		AllPairs(w)
+		new(ShortestPaths).ComputeFrom(&w)
 	}
 }
 
@@ -501,7 +553,7 @@ func BenchmarkComputeEAR8x8(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Compute(NewEAR(), state, dests, nil)
+		ComputeInto(NewWorkspace(), NewEAR(), state, dests, nil)
 	}
 }
 

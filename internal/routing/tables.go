@@ -35,36 +35,38 @@ type Tables struct {
 	nextHop []topology.NodeID // nodes*nodes, row-major by source node
 }
 
-// reset re-dimensions the tables and clears them, reusing backing storage.
+// reset re-dimensions the tables, reusing backing storage without clearing
+// it: phase 3 writes every entry.
 func (ts *Tables) reset(nodes, modules int) {
 	ts.nodes, ts.modules = nodes, modules
-	ts.has = resized(ts.has, nodes)
-	ts.known = resized(ts.known, modules)
-	if cap(ts.routes) < nodes*modules {
-		ts.routes = make([]Route, nodes*modules)
+	ts.has = sized(ts.has, nodes)
+	ts.known = sized(ts.known, modules)
+	ts.routes = sized(ts.routes, nodes*modules)
+	ts.nextHop = sized(ts.nextHop, nodes*nodes)
+}
+
+// sized returns s with length n, reusing s's capacity; the contents are
+// left as they were.
+func sized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	ts.routes = ts.routes[:nodes*modules]
-	for i := range ts.routes {
-		ts.routes[i] = invalidRoute
-	}
-	if cap(ts.nextHop) < nodes*nodes {
-		ts.nextHop = make([]topology.NodeID, nodes*nodes)
-	}
-	ts.nextHop = ts.nextHop[:nodes*nodes]
-	for i := range ts.nextHop {
-		ts.nextHop[i] = topology.Invalid
-	}
+	return s[:n]
 }
 
 // resized returns s with length n and every element zeroed, reusing s's
 // capacity.
 func resized[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
+	s = sized(s, n)
 	clear(s)
 	return s
+}
+
+// fill sets every element of s to v.
+func fill[T any](s []T, v T) {
+	for i := range s {
+		s[i] = v
+	}
 }
 
 // Has reports whether node received a routing table (i.e. was alive when the
@@ -146,11 +148,16 @@ func (t Table) NextHopTo(dest topology.NodeID) topology.NodeID {
 
 // destSet is the dense, index-addressed form of the module duplicate lists
 // (S_i). It aliases the caller's duplicate slices and is reused across
-// recomputes.
+// recomputes, together with the liveness scratch phase 3 hoists out of its
+// per-node loop.
 type destSet struct {
 	modules int
 	known   []bool
 	dups    [][]topology.NodeID
+
+	dead     []int32           // ascending IDs of the dead nodes
+	alive    []topology.NodeID // alive duplicates, grouped by module
+	aliveOff []int32           // module m's are alive[aliveOff[m]:aliveOff[m+1]]
 }
 
 // fill re-populates the set from the map form, reusing backing storage.
@@ -179,6 +186,28 @@ func (d *destSet) fill(destinations map[app.ModuleID][]topology.NodeID) {
 	}
 }
 
+// hoist records, once per phase-3 call, which of the k nodes are dead and
+// which duplicates are alive. A duplicate outside 0..k-1 counts as dead.
+func (d *destSet) hoist(state *SystemState, k int) {
+	d.dead = sized(d.dead, k)[:0]
+	for n := 0; n < k; n++ {
+		if !state.Alive(topology.NodeID(n)) {
+			d.dead = append(d.dead, int32(n))
+		}
+	}
+	d.alive = d.alive[:0]
+	d.aliveOff = sized(d.aliveOff, d.modules+1)
+	d.aliveOff[0] = 0
+	for m, dups := range d.dups {
+		for _, dup := range dups {
+			if int(dup) < k && state.Alive(dup) {
+				d.alive = append(d.alive, dup)
+			}
+		}
+		d.aliveOff[m+1] = int32(len(d.alive))
+	}
+}
+
 // BuildTables runs phase 3 (Fig 6): for every alive node and every module it
 // selects the duplicate with the smallest phase-2 distance, skipping — when
 // the node currently reports a deadlock — the next hop recorded in its
@@ -195,81 +224,72 @@ func BuildTables(state *SystemState, sp *ShortestPaths, destinations map[app.Mod
 }
 
 // buildTablesInto is the allocation-free phase-3 core shared by BuildTables
-// and ComputeInto. out must not alias prev.
+// and ComputeInto. out must not alias prev. It works row by row: an alive
+// node's next-hop row is its successor row with the diagonal and the dead
+// columns invalidated (a successor is Invalid exactly when its distance is
+// Inf, see ShortestPaths), and each route scans only the alive duplicates.
 func buildTablesInto(out *Tables, state *SystemState, sp *ShortestPaths, dests *destSet, prev *Tables) {
 	k := state.Graph.NodeCount()
 	out.reset(k, dests.modules)
 	copy(out.known, dests.known)
+	dests.hoist(state, k)
+	dead := dests.dead
 	for n := 0; n < k; n++ {
-		node := topology.NodeID(n)
-		if !state.Alive(node) {
+		hopRow := out.nextHop[n*k : (n+1)*k]
+		routeRow := out.routes[n*out.modules : (n+1)*out.modules]
+		if len(dead) > 0 && int(dead[0]) == n {
+			dead = dead[1:]
+			out.has[n] = false
+			fill(hopRow, topology.Invalid)
+			fill(routeRow, invalidRoute)
 			continue
 		}
 		out.has[n] = true
-		hopRow := out.nextHop[n*k : (n+1)*k]
-		for d := 0; d < k; d++ {
-			dest := topology.NodeID(d)
-			if dest == node || !state.Alive(dest) {
-				continue
-			}
-			if sp.Reachable(node, dest) {
-				hopRow[d] = sp.Succ(node, dest)
-			}
+		succRow := sp.succ[n*k : (n+1)*k]
+		copy(hopRow, succRow)
+		hopRow[n] = topology.Invalid
+		for _, d := range dests.dead {
+			hopRow[d] = topology.Invalid
 		}
-		deadlocked := state.StatusOf(node).Deadlocked
-		routeRow := out.routes[n*out.modules : (n+1)*out.modules]
-		for m := 0; m < dests.modules; m++ {
+		node := topology.NodeID(n)
+		distRow := sp.dist.Row(n)
+		deadlocked := prev != nil && state.StatusOf(node).Deadlocked
+		for m := range routeRow {
 			if !dests.known[m] {
+				routeRow[m] = invalidRoute
 				continue
 			}
-			moduleID := app.ModuleID(m)
-			blockedHop := topology.Invalid
-			if deadlocked && prev != nil {
-				if prevRoute, ok := prev.RouteTo(node, moduleID); ok {
-					blockedHop = prevRoute.NextHop
-				}
-			}
-			best := invalidRoute
-			fallback := best
-			for _, dup := range dests.dups[m] {
-				if !state.Alive(dup) || !sp.Reachable(node, dup) {
-					continue
-				}
-				hop := sp.Succ(node, dup)
-				candidate := Route{Dest: dup, NextHop: hop, Distance: sp.Dist(node, dup)}
-				if better(candidate, fallback) {
-					fallback = candidate
-				}
-				if blockedHop != topology.Invalid && hop == blockedHop && dup != node {
-					continue
-				}
-				if better(candidate, best) {
-					best = candidate
-				}
-			}
-			// If every alternative went through the blocked port, fall back to
+			dups := dests.alive[dests.aliveOff[m]:dests.aliveOff[m+1]]
+			best := nearest(distRow, succRow, dups, node, topology.Invalid)
+			// A deadlocked node avoids the next hop of its previous route.
+			// If every alternative goes through that blocked port, it keeps
 			// the unconstrained optimum rather than leaving the module
 			// unreachable (the deadlock will be reported again next frame).
-			if !best.Valid() {
-				best = fallback
+			if deadlocked {
+				if prevRoute, ok := prev.RouteTo(node, app.ModuleID(m)); ok {
+					if alt := nearest(distRow, succRow, dups, node, prevRoute.NextHop); alt.Valid() {
+						best = alt
+					}
+				}
 			}
 			routeRow[m] = best
 		}
 	}
 }
 
-// better reports whether candidate is preferable to current: strictly smaller
-// distance, with ties broken towards the smaller destination ID for
-// determinism.
-func better(candidate, current Route) bool {
-	if !candidate.Valid() {
-		return false
+// nearest returns the route from node to the closest of dups — smaller
+// distance first, then smaller Dest — given node's distance and successor
+// rows, skipping the duplicates other than node itself whose first hop is
+// blocked. An unreachable duplicate's Inf never beats the invalid route it
+// starts from, and a reachable one never has an Invalid first hop.
+func nearest(distRow []float64, succRow, dups []topology.NodeID, node, blocked topology.NodeID) Route {
+	best := invalidRoute
+	for _, dup := range dups {
+		if d := distRow[dup]; d < best.Distance || d == best.Distance && dup < best.Dest {
+			if hop := succRow[dup]; hop != blocked || dup == node {
+				best = Route{Dest: dup, NextHop: hop, Distance: d}
+			}
+		}
 	}
-	if !current.Valid() {
-		return true
-	}
-	if candidate.Distance != current.Distance {
-		return candidate.Distance < current.Distance
-	}
-	return candidate.Dest < current.Dest
+	return best
 }

@@ -120,11 +120,3 @@ func (ws *Workspace) finish(alg Algorithm, state *SystemState, destinations map[
 	ws.plan = Plan{Algorithm: alg.Name(), Paths: &ws.sp, Tables: out}
 	return &ws.plan
 }
-
-// Compute runs all three phases of the given algorithm on a system snapshot
-// using a fresh workspace, which the returned plan takes sole ownership of.
-// Controllers that recompute repeatedly should hold a Workspace and call
-// ComputeInto instead.
-func Compute(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
-	return ComputeInto(NewWorkspace(), alg, state, destinations, prev)
-}

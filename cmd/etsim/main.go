@@ -33,7 +33,9 @@
 // phase-2 strategy (the incremental shortest-path-tree repair, the default,
 // or the full per-destination pass); the two are byte-identical in every
 // output for any -ear-q except the "recompute split" row, and the knob
-// exists for equivalence checks and timing comparisons.
+// exists for equivalence checks and timing comparisons. The split row
+// labels each recompute by the size of its change, not by the path that
+// ran: in incremental mode every recompute after the first is a repair.
 package main
 
 import (
@@ -77,7 +79,7 @@ func main() {
 		planeName     = flag.String("controlplane", "", "control-plane architecture: centralized (default) or sharded; overrides the scenario's when combined with -scenario")
 		shards        = flag.Int("shards", 0, "number of regional controllers under -controlplane sharded (0 = default)")
 		staleness     = flag.Int("staleness", 0, "summary-exchange period in frames between regional controllers (0 = every frame)")
-		recompute     = flag.String("recompute", "", "controller phase-2 strategy: incremental (default) or full shortest-path pass; outputs other than the recompute split are byte-identical either way; overrides the scenario's when combined with -scenario")
+		recompute     = flag.String("recompute", "", "controller phase-2 strategy: incremental (default; repairs the previous shortest-path trees on every recompute after the first) or full (reruns the whole shortest-path pass each time); outputs other than the recompute split, which labels changes by size rather than by the path that ran, are byte-identical either way; overrides the scenario's when combined with -scenario")
 		faultSpec     = flag.String("faults", "", "runtime fault schedule, e.g. 'link=0.05:8,crash=0.02:12,wear=150,kill=1@40:120,seed=7' (see internal/faults); overrides the scenario's when combined with -scenario")
 		seed          = flag.Uint64("seed", 1, "with -scenario: override the scenario's MappingSeed/FailedLinkSeed (single run) or seed the campaign stream (-replications > 1)")
 		replications  = flag.Int("replications", 1, "with -scenario: run this many seed-stream replicates as a Monte-Carlo campaign and print aggregate statistics")

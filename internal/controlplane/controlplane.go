@@ -283,9 +283,10 @@ type ControlPlane interface {
 	// ShardConsumedPJ returns the controller energy drained by region
 	// `shard`'s pool so far.
 	ShardConsumedPJ(shard int) float64
-	// RecomputeSplit reports how the plane's recomputations executed so
-	// far: full passes vs incremental shortest-path-tree repairs
-	// (summed across regions for the sharded plane).
+	// RecomputeSplit reports the plane's recomputations so far by their
+	// full/incremental label (routing.DeltaStats; summed across regions for
+	// the sharded plane). The label is a policy on the size of the change,
+	// not the phase-2 path that ran.
 	RecomputeSplit() (full, incremental int)
 }
 

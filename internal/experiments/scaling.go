@@ -48,8 +48,9 @@ type ScalingRow struct {
 	IncrementalMS float64
 	// Speedup is FullMS / IncrementalMS.
 	Speedup float64
-	// Repairs and Fallbacks split the incremental run's recomputes: crossings
-	// repaired from the dirty set vs crossings that fell back to a full pass.
+	// Repairs and Fallbacks split the incremental run's recomputes by their
+	// routing.DeltaStats label: crossings within the crossovers vs crossings
+	// past them. Both are repaired; the label does not choose the path.
 	Repairs   int
 	Fallbacks int
 	// DirtyFrac and AffectedFrac are the mean dirty-vertex fraction (of K)
@@ -150,8 +151,8 @@ func scalingRow(n, crossings int) (ScalingRow, error) {
 	}
 
 	st := incr.Stats()
-	// The bootstrap pass is the one guaranteed full computation; everything
-	// beyond it inside the measured window is a crossover fallback.
+	// The bootstrap pass is the one full computation; everything beyond it
+	// labelled full inside the measured window is past a crossover.
 	row.Repairs = st.Incremental
 	row.Fallbacks = st.Full - 1
 	if st.Incremental > 0 {

@@ -10,13 +10,13 @@ type RecomputeMode int
 
 const (
 	// RecomputeIncremental (the zero value, and the default) repairs the
-	// previous shortest-path trees from the set of changed weights when that
-	// set is small, falling back to the full pass automatically (see
+	// previous shortest-path trees from the set of changed weights whenever
+	// a previous computation of the same dimension exists (see
 	// DeltaWorkspace).
 	RecomputeIncremental RecomputeMode = iota
 	// RecomputeFull always reruns the full per-destination pass,
-	// byte-identical to what a plain Workspace computes. It exists as a
-	// baseline for the equivalence tests, the scaling experiment and the CI
+	// byte-identical to what a plain Workspace computes. It exists as the
+	// equivalence oracle for the tests, the scaling experiment and the CI
 	// byte-diff smoke.
 	RecomputeFull
 )
@@ -29,45 +29,50 @@ func (m RecomputeMode) String() string {
 	return "incremental"
 }
 
-// DeltaStats counts how a DeltaWorkspace executed its recomputations. All
-// counters are pure functions of the snapshot sequence, so they are
-// deterministic and may appear in experiment tables.
+// DeltaStats labels a DeltaWorkspace's recomputations by the size of their
+// change. The labels are a reporting policy, not the path that ran: every
+// recompute with a previous fixpoint of the same dimension runs the repair
+// unless the workspace is in RecomputeFull mode. All counters are pure
+// functions of the snapshot sequence, so they are deterministic and may
+// appear in experiment tables.
 type DeltaStats struct {
-	// Full counts recomputations that ran the full pass (first
-	// computation, forced mode, liveness change, or change volume past the
-	// crossover).
+	// Full counts recomputations labelled full: the first computation, a
+	// dimension change, forced mode, a liveness change, or a change past
+	// either crossover.
 	Full int
-	// Incremental counts recomputations repaired from the dirty set.
+	// Incremental counts recomputations within both crossovers.
 	Incremental int
 	// DirtyVertices is the cumulative number of dirty vertices across all
-	// incremental repairs.
+	// incremental-labelled recomputations.
 	DirtyVertices int
 	// AffectedPairs is the cumulative number of (source, destination)
 	// pairs whose previous shortest path touched a dirty vertex, across all
-	// incremental repairs.
+	// incremental-labelled recomputations.
 	AffectedPairs int
 }
 
-// Crossover fractions above which the workspace takes the full pass instead
-// of the incremental repair. They are output-compatibility policy, not a
-// measured break-even point: both paths reach the same fixpoint, but which
-// one ran is reported (the "recompute split" row, sim.Result's
+// Crossover fractions past which a recompute is labelled full: more than
+// dirtyCrossover·K dirty vertices, or more than affectedCrossover·K²
+// (source, destination) pairs whose previous path touched one. They are
+// output-compatibility policy and steer no execution: the label is
+// reported (the "recompute split" row, sim.Result's
 // Full/IncrementalRecomputes), so moving either constant changes published
-// results. Both were tuned against the dense Floyd–Warshall pass this
-// package used before the sparse one: at the time they sat just under the
-// 16x16 break-even (about sixteen drained nodes at once).
+// results. They were tuned against the dense Floyd–Warshall pass this
+// package once used; at 16x16 the tree repair now beats the full pass up to
+// about 32 drained nodes at once, three times the dirty crossover (see
+// BenchmarkDeltaCrossover).
 const (
-	defaultDirtyCrossover    = 0.20
-	defaultAffectedCrossover = 0.60
+	dirtyCrossover    = 0.20
+	affectedCrossover = 0.60
 )
 
 // DeltaWorkspace is a Workspace variant whose phase 2 is a dynamic all-pairs
 // shortest-path computation. It keeps the previous weight matrix, diffs the
 // new weights against it into a list of changed edges and a dirty vertex set
 // (a vertex is dirty when any edge incident to it changed weight, appeared,
-// or disappeared), and when the change is small repairs each destination's
-// shortest-path tree in place, Ramalingam–Reps style, instead of rerunning
-// the full per-destination Dijkstra pass:
+// or disappeared), and repairs each destination's shortest-path tree in
+// place, Ramalingam–Reps style, instead of rerunning the full
+// per-destination Dijkstra pass:
 //
 //  1. Invalidate the subtrees hanging under the increased (or removed)
 //     tree edges, succ[u][j] == v (tree children of x are its in-neighbours
@@ -81,7 +86,7 @@ const (
 // adjacency is brought up to date: when every changed edge moved between two
 // finite weights — the arc set is unchanged, which the diff itself proves
 // for any Algorithm — the existing arcs are reweighted in place; otherwise
-// it is rebuilt from the new matrix.
+// (a link fault, a node death or revival) it is rebuilt from the new matrix.
 //
 // Because the repair and the full pass compute the same fixpoint —
 // d(u) = min over x of fl(w(u,x) + d(x)), successor the lowest-ID x attaining
@@ -89,20 +94,20 @@ const (
 // rounding (fl(w + d) > d for every edge), the repair is byte-identical to
 // Workspace.ComputeInto for every EAR Q, dyadic or not.
 //
-// The workspace falls back to the full pass when there is no previous
-// computation, the node count changed, any node's liveness flag changed, the
-// dirty set exceeds 20% of K, or more than 60% of the K² (source,
-// destination) pairs had a previous shortest path through a dirty vertex
-// (counted by walking each dirty vertex's subtree in the previous trees).
-// Stats reports the split; it is part of every simulation result.
+// The full pass runs only when there is no previous computation, the node
+// count changed, or the mode is RecomputeFull. Stats labels each recompute
+// independently of that: full on those three, on any change of a node's
+// liveness flag, when the dirty set exceeds 20% of K, or when more than 60%
+// of the K² (source, destination) pairs had a previous shortest path
+// through a dirty vertex (counted by walking each dirty vertex's subtree in
+// the previous trees); incremental otherwise. The label is part of every
+// simulation result.
 //
 // The ComputeInto contract — ping-ponged table buffers, Plan lifetimes, and
 // zero steady-state heap allocations — is identical to Workspace; a
 // DeltaWorkspace is likewise not safe for concurrent use.
 type DeltaWorkspace struct {
-	mode              RecomputeMode
-	dirtyCrossover    float64
-	affectedCrossover float64
+	mode RecomputeMode
 
 	// ws holds the phase-2 storage, phase-3 buffers and plan; its own
 	// weight matrix stays unused.
@@ -126,7 +131,8 @@ type DeltaWorkspace struct {
 	stack     []int32 // subtree walk stack
 	invalid   []int32 // invalidated vertices, current destination
 
-	stats DeltaStats
+	stats      DeltaStats
+	fullPasses int // executed full passes, whatever the label
 }
 
 // edgeChange is one changed entry of the weight matrix.
@@ -136,63 +142,45 @@ type edgeChange struct {
 	increased bool
 }
 
-// NewDeltaWorkspace returns an empty delta workspace in incremental mode
-// with the measured default crossover thresholds. Buffers are sized lazily
-// on the first ComputeInto and reused afterwards.
-func NewDeltaWorkspace() *DeltaWorkspace {
-	return &DeltaWorkspace{
-		dirtyCrossover:    defaultDirtyCrossover,
-		affectedCrossover: defaultAffectedCrossover,
-	}
-}
+// NewDeltaWorkspace returns an empty delta workspace in incremental mode.
+// Buffers are sized lazily on the first ComputeInto and reused afterwards.
+func NewDeltaWorkspace() *DeltaWorkspace { return &DeltaWorkspace{} }
 
 // SetMode switches between incremental repair and the always-full baseline.
 func (dw *DeltaWorkspace) SetMode(m RecomputeMode) { dw.mode = m }
 
-// Mode returns the current recompute mode.
-func (dw *DeltaWorkspace) Mode() RecomputeMode { return dw.mode }
-
-// SetCrossover overrides the dirty-vertex and affected-pair fractions above
-// which the workspace falls back to the full pass (both in (0, 1]; values
-// outside the range are clamped). Intended for tests and experiments; the
-// defaults are measured, see the package constants.
-func (dw *DeltaWorkspace) SetCrossover(dirtyFrac, affectedFrac float64) {
-	dw.dirtyCrossover = clamp01(dirtyFrac)
-	dw.affectedCrossover = clamp01(affectedFrac)
-}
-
-func clamp01(f float64) float64 {
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
-// Stats returns the cumulative execution counters.
+// Stats returns the cumulative recompute labels.
 func (dw *DeltaWorkspace) Stats() DeltaStats { return dw.stats }
 
 // ComputeInto runs all three phases of the given algorithm on a system
-// snapshot, reusing the workspace's buffers, with phase 2 executed
-// incrementally when possible. The contract is identical to the package
-// function ComputeInto on a plain Workspace: destinations lists the
+// snapshot, reusing the workspace's buffers, with phase 2 repaired from the
+// previous fixpoint when there is one. The contract is identical to the
+// package function ComputeInto on a plain Workspace: destinations lists the
 // duplicates of every module, prev is the previously downloaded tables (nil
 // on the first computation), and when prev came from an earlier ComputeInto
 // on the same workspace the new tables are written into the other internal
 // buffer so prev stays intact.
 func (dw *DeltaWorkspace) ComputeInto(alg Algorithm, state *SystemState, destinations map[app.ModuleID][]topology.NodeID, prev *Tables) *Plan {
 	next := dw.cur ^ 1
-	alg.WeightsInto(&dw.w[next], state)
-	k := dw.w[next].Dim()
-	// Node death (or revival) invalidates reachability wholesale: every
-	// column through the node changes at once. Take the full pass.
-	if !dw.syncAlive(state, k) && dw.repair(k) {
-		dw.stats.Incremental++
-	} else {
-		dw.ws.sp.ComputeFrom(&dw.w[next])
+	newW := &dw.w[next]
+	alg.WeightsInto(newW, state)
+	k := newW.Dim()
+	livenessChanged := dw.syncAlive(state, k)
+	if dw.mode == RecomputeFull || !dw.havePrev || dw.ws.sp.n != k {
+		dw.ws.sp.ComputeFrom(newW)
+		dw.fullPasses++
 		dw.stats.Full++
+	} else {
+		dw.grow(k)
+		dw.diffDirty(newW, &dw.w[dw.cur], k)
+		// A node death or revival is labelled full outright; its weight
+		// changes are repaired like any other.
+		if !livenessChanged && dw.withinCrossovers(k) {
+			dw.stats.Incremental++
+		} else {
+			dw.stats.Full++
+		}
+		dw.repair(newW, k)
 	}
 	dw.cur = next
 	dw.havePrev = true
@@ -215,24 +203,15 @@ func (dw *DeltaWorkspace) syncAlive(state *SystemState, k int) bool {
 	return changed
 }
 
-// repair attempts the incremental phase-2 update against the new weights in
-// dw.w[dw.cur^1]. It returns false — leaving dist/succ untouched — when the
-// workspace must (or is configured to) run the full pass instead.
-func (dw *DeltaWorkspace) repair(k int) bool {
-	if dw.mode == RecomputeFull || !dw.havePrev || dw.ws.sp.n != k {
+// withinCrossovers reports whether the diff stays within both crossovers,
+// and if so adds its volume to the stats. The affected pairs are counted on
+// the previous trees and adjacency, with early bail-out, so this must run
+// before the repair; it costs the size of the dirty subtrees.
+func (dw *DeltaWorkspace) withinCrossovers(k int) bool {
+	if float64(len(dw.dirty)) > dirtyCrossover*float64(k) {
 		return false
 	}
-	dw.grow(k)
-	newW := &dw.w[dw.cur^1]
-	if !dw.diffDirty(newW, &dw.w[dw.cur], k) {
-		return false // dirty fraction past the crossover
-	}
-	if len(dw.dirty) == 0 {
-		return true // weights unchanged: dist/succ are already the fixpoint
-	}
-	// The affected volume is counted on the previous trees and adjacency,
-	// with early bailout; it costs the size of the dirty subtrees.
-	budget := int(dw.affectedCrossover * float64(k) * float64(k))
+	budget := int(affectedCrossover * float64(k) * float64(k))
 	total := 0
 	for j := 0; j < k; j++ {
 		total += dw.affectedSources(j)
@@ -242,7 +221,15 @@ func (dw *DeltaWorkspace) repair(k int) bool {
 	}
 	dw.stats.DirtyVertices += len(dw.dirty)
 	dw.stats.AffectedPairs += total
+	return true
+}
 
+// repair moves dist/succ from the previous fixpoint to that of the new
+// weights newW, given the diff between them.
+func (dw *DeltaWorkspace) repair(newW *Matrix, k int) {
+	if len(dw.changed) == 0 {
+		return // weights unchanged: dist/succ are already the fixpoint
+	}
 	if dw.reshaped {
 		dw.ws.sp.g.build(newW)
 	} else {
@@ -251,7 +238,6 @@ func (dw *DeltaWorkspace) repair(k int) bool {
 	for j := 0; j < k; j++ {
 		dw.repairDest(j)
 	}
-	return true
 }
 
 // grow sizes the repair scratch for dimension k.
@@ -270,9 +256,8 @@ func (dw *DeltaWorkspace) grow(k int) {
 // diffDirty compares the new and previous weight matrices, collects the
 // changed edges and the dirty vertices — both endpoints of every changed
 // edge — in ascending order, and records whether any edge appeared or
-// disappeared. It returns false when the dirty fraction exceeds the
-// crossover.
-func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
+// disappeared.
+func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) {
 	dw.dirtyMark = resized(dw.dirtyMark, k)
 	dw.changed = dw.changed[:0]
 	dw.reshaped = false
@@ -293,7 +278,6 @@ func (dw *DeltaWorkspace) diffDirty(newW, oldW *Matrix, k int) bool {
 			dw.dirty = append(dw.dirty, i)
 		}
 	}
-	return float64(len(dw.dirty)) <= dw.dirtyCrossover*float64(k)
 }
 
 // affectedSources returns how many sources i ≠ j had a previous canonical

@@ -15,9 +15,10 @@ import (
 // per-destination Dijkstra pass, in the style of equivalence_test.go:
 // byte-identical plans over meshes 4-16 × algorithms × battery-drain
 // trajectories × dead nodes × link faults, a lockstep run at non-dyadic EAR
-// Q, a randomized long-run soak, a property test over random weight
-// perturbations (including the crossover boundary, with the dense
-// Floyd–Warshall oracle alongside), the affected-pair count against the
+// Q, a randomized long-run soak, property tests over random weight
+// perturbations (one with the dense Floyd–Warshall oracle alongside, one
+// pinning the full/incremental labels and the executed full passes on both
+// sides of both crossovers), the affected-pair count against the
 // successor-walk oracle, the zero-alloc steady-state guard, and the
 // benchmarks behind BENCH_incremental.json.
 
@@ -100,8 +101,8 @@ func checkerboardDests(g *topology.Graph) map[app.ModuleID][]topology.NodeID {
 // TestDeltaMatchesFullRecompute drives a DeltaWorkspace and a plain
 // Workspace in lockstep — each chaining its own prev tables, exactly like a
 // controller — over meshes 4-16 with battery-drain trajectories, node
-// deaths (which must trigger the full fallback), deadlock churn and
-// setup-time link faults, asserting byte-identical plans on every round.
+// deaths (labelled full, and repaired), deadlock churn and setup-time link
+// faults, asserting byte-identical plans on every round.
 func TestDeltaMatchesFullRecompute(t *testing.T) {
 	for _, meshSize := range []int{4, 6, 8, 12, 16} {
 		for _, alg := range []Algorithm{SDR{}, NewEAR()} {
@@ -182,7 +183,7 @@ func TestDeltaLongRunSoak(t *testing.T) {
 		case r < 0.95:
 			st.Alive = false
 		default:
-			st.Alive = true // revival must also force the full fallback
+			st.Alive = true // revival is labelled full too, and repaired
 		}
 		dPlan := dw.ComputeInto(alg, state, dests, dPrev)
 		fPlan := ComputeInto(ws, alg, state, dests, fPrev)
@@ -197,7 +198,8 @@ func TestDeltaLongRunSoak(t *testing.T) {
 
 // matrixAlg exposes phase 1 directly: its weights are an arbitrary matrix
 // the test mutates between recomputes, so perturbations are not limited to
-// what battery quantisation can express.
+// what battery quantisation can express. Like SDR and EAR it drops every
+// edge with a dead endpoint.
 type matrixAlg struct{ m *Matrix }
 
 func (matrixAlg) Name() string           { return "matrix" }
@@ -206,8 +208,14 @@ func (a matrixAlg) WeightsInto(w *Matrix, state *SystemState) {
 	k := a.m.Dim()
 	w.Reset(k)
 	for i := 0; i < k; i++ {
-		copy(w.Row(i), a.m.Row(i))
-		w.Set(i, i, 0)
+		if !state.Alive(topology.NodeID(i)) {
+			continue
+		}
+		for j, v := range a.m.Row(i) {
+			if i != j && state.Alive(topology.NodeID(j)) {
+				w.Set(i, j, v)
+			}
+		}
 	}
 }
 
@@ -218,10 +226,10 @@ func (a matrixAlg) WeightsInto(w *Matrix, state *SystemState) {
 // byte-identically, that the from-scratch sparse pass matches the dense
 // Floyd–Warshall oracle, and that the repair's adjacency — reweighted in
 // place when only finite weights moved, rebuilt when an entry moved to or
-// from Inf — equals one built from the new weights, while sweeping the
-// crossover thresholds so both sides of the fallback boundary are
-// exercised. Weights are multiples of 1/8 so path sums carry no rounding,
-// which the dense oracle needs to agree.
+// from Inf — equals one built from the new weights, on both sides of the
+// default crossovers: every recompute after the first runs the repair,
+// whatever its label. Weights are multiples of 1/8 so path sums carry no
+// rounding, which the dense oracle needs to agree.
 func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 	for _, meshSize := range []int{3, 4} {
 		t.Run(fmt.Sprintf("%dx%d", meshSize, meshSize), func(t *testing.T) {
@@ -244,15 +252,10 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 			dw := NewDeltaWorkspace()
 			ws := NewWorkspace()
 			var dPrev, fPrev *Tables
-			crossovers := [][2]float64{{0, 0}, {0.05, 0.02}, {0.3, 0.1}, {1, 1}}
 			before := NewMatrix(k)
 			var patched, rebuilt int
 			for step := 0; step < 400; step++ {
 				copy(before.cells, w.cells)
-				if step%25 == 0 {
-					c := crossovers[(step/25)%len(crossovers)]
-					dw.SetCrossover(c[0], c[1])
-				}
 				for hit := 0; hit < 1+rng.Intn(3); hit++ {
 					i, j := rng.Intn(k), rng.Intn(k)
 					if i == j {
@@ -269,7 +272,7 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 				for i, v := range w.cells {
 					reshaped = reshaped || (v == Inf) != (before.cells[i] == Inf)
 				}
-				incremental := dw.Stats().Incremental
+				fullPasses := dw.fullPasses
 				dPlan := dw.ComputeInto(alg, state, dests, dPrev)
 				fPlan := ComputeInto(ws, alg, state, dests, fPrev)
 				assertPlansIdentical(t, dPlan, fPlan)
@@ -277,7 +280,7 @@ func TestDeltaPropertyRandomPerturbations(t *testing.T) {
 				var fresh adjacency
 				fresh.build(&w)
 				assertAdjacencyIdentical(t, &dw.ws.sp.g, &fresh)
-				if dw.Stats().Incremental > incremental && len(dw.changed) > 0 {
+				if dw.fullPasses == fullPasses && len(dw.changed) > 0 {
 					if dw.reshaped != reshaped {
 						t.Fatalf("step %d: repair took reshaped=%v, want %v", step, dw.reshaped, reshaped)
 					}
@@ -427,7 +430,6 @@ func TestAffectedCountMatchesMarkAffected(t *testing.T) {
 			state := fullState(mesh.Graph, 8)
 			var alg Algorithm = NewEAR()
 			dw := NewDeltaWorkspace()
-			dw.SetCrossover(1, 1) // keep the trees evolving through the repair
 			var prev *Tables
 			checks := 0
 			for round := 0; round < 30; round++ {
@@ -467,7 +469,6 @@ func TestAffectedCountMatchesMarkAffected(t *testing.T) {
 		state := fullState(mesh.Graph, 8)
 		dests := checkerboardDests(mesh.Graph)
 		dw := NewDeltaWorkspace()
-		dw.SetCrossover(1, 1)
 		var prev *Tables
 		for step := 0; step < 200; step++ {
 			for hit := 0; hit < 1+rng.Intn(3); hit++ {
@@ -487,10 +488,198 @@ func TestAffectedCountMatchesMarkAffected(t *testing.T) {
 	})
 }
 
-// TestDeltaCrossoverPolicy pins the fallback triggers: an unchanged
-// snapshot repairs for free, a forced-full mode never repairs, a tiny
-// crossover rejects even a single dirty vertex, and a permissive crossover
-// accepts a broad change — all byte-identical to the full pass.
+// TestRepairFirstMatchesFullPass pins what a DeltaWorkspace reports apart
+// from what it runs, under the default crossovers. A hub-and-mesh weight
+// matrix — vertex 0 has cheap edges to and from every vertex, so a change
+// at the hub moves most shortest paths — takes random perturbations: one
+// edge reweighted, raised to Inf or restored from it; up to an eighth of
+// the edges reweighted at once; one hub edge reweighted; a node death or
+// revival; a deadlock flip. Forced-full steps and dimension changes are
+// mixed in. After every step the plan must be byte-identical to a fresh
+// Workspace's, Stats must equal the classification recomputed by an oracle
+// (liveness change, then more than 20% of K dirty, then more than 60% of
+// K² affected pairs counted by markAffectedOracle), and the full pass must
+// have run exactly when the step was the first, changed the dimension or
+// was forced. The test fails if any label, any reason for either, any kind
+// of perturbation, or a dirty set of exactly 20% of K never occurs.
+func TestRepairFirstMatchesFullPass(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	weight := func(lo, hi int) float64 { return float64(lo*8+rng.Intn((hi-lo)*8+1)) * 0.125 }
+	type world struct {
+		base  Matrix // weights with every node alive; matrixAlg drops dead endpoints
+		links [][2]int
+		state *SystemState
+		dests map[app.ModuleID][]topology.NodeID
+		dead  []int
+	}
+	newWorld := func(n int) *world {
+		mesh := topology.MustMesh(n, n, topology.DefaultSpacingCM)
+		k := mesh.Graph.NodeCount()
+		w := &world{base: NewMatrix(k), state: fullState(mesh.Graph, 8), dests: checkerboardDests(mesh.Graph)}
+		for _, l := range mesh.Graph.Links() {
+			w.links = append(w.links, [2]int{int(l.From), int(l.To)})
+			w.base.Set(int(l.From), int(l.To), weight(2, 4))
+		}
+		for v := 1; v < k; v++ {
+			w.base.Set(0, v, weight(1, 2))
+			w.base.Set(v, 0, weight(1, 2))
+		}
+		return w
+	}
+	worlds := []*world{newWorld(6), newWorld(5)}
+	cur := worlds[0]
+
+	dw := NewDeltaWorkspace()
+	var want DeltaStats
+	var prevW Matrix
+	var prevAlive []bool
+	var prevSucc []topology.NodeID
+	var dPrev, fPrev *Tables
+	seen := map[string]int{}
+	for step := 0; step < 600; step++ {
+		dimChange := step > 0 && step%150 == 0
+		if dimChange {
+			cur = worlds[step/150%2]
+			dPrev, fPrev = nil, nil // the old tables have the other dimension
+		}
+		forced := step%23 == 11
+		k := cur.base.Dim()
+		switch r := rng.Float64(); {
+		case r < 0.35:
+			l := cur.links[rng.Intn(len(cur.links))]
+			v := weight(2, 4)
+			if cur.base.At(l[0], l[1]) == Inf {
+				seen["from Inf"]++
+			} else if rng.Intn(3) == 0 {
+				v = Inf
+				seen["to Inf"]++
+			}
+			cur.base.Set(l[0], l[1], v)
+		case r < 0.5:
+			for n := 1 + rng.Intn(len(cur.links)/8); n > 0; n-- {
+				if l := cur.links[rng.Intn(len(cur.links))]; cur.base.At(l[0], l[1]) < Inf {
+					cur.base.Set(l[0], l[1], weight(2, 4))
+				}
+			}
+		case r < 0.65:
+			v := 1 + rng.Intn(k-1)
+			if rng.Intn(2) == 0 {
+				cur.base.Set(0, v, weight(1, 2))
+			} else {
+				cur.base.Set(v, 0, weight(1, 2))
+			}
+		case r < 0.8:
+			if n := len(cur.dead); n > 0 && (n == 3 || rng.Intn(2) == 0) {
+				cur.state.Status[cur.dead[n-1]].Alive = true
+				cur.dead = cur.dead[:n-1]
+				seen["revival"]++
+			} else if v := rng.Intn(k); cur.state.Status[v].Alive {
+				cur.state.Status[v].Alive = false
+				cur.dead = append(cur.dead, v)
+				seen["death"]++
+			}
+		default:
+			st := &cur.state.Status[rng.Intn(k)]
+			st.Deadlocked = !st.Deadlocked
+		}
+
+		alg := matrixAlg{m: &cur.base}
+		if forced {
+			dw.SetMode(RecomputeFull)
+		}
+		passes := dw.fullPasses
+		dPlan := dw.ComputeInto(alg, cur.state, cur.dests, dPrev)
+		fPlan := ComputeInto(NewWorkspace(), alg, cur.state, cur.dests, fPrev)
+		dw.SetMode(RecomputeIncremental)
+		assertPlansIdentical(t, dPlan, fPlan)
+		newW := weightsOf(alg, cur.state)
+		var fresh adjacency
+		fresh.build(&newW)
+		assertAdjacencyIdentical(t, &dw.ws.sp.g, &fresh)
+
+		// The oracle: the classification as it was when the label decided
+		// the path.
+		alive := make([]bool, k)
+		for i := range alive {
+			alive[i] = cur.state.Alive(topology.NodeID(i))
+		}
+		wantPass := step == 0 || dimChange || forced
+		switch {
+		case step == 0:
+			seen["first computation"]++
+		case dimChange:
+			seen["dimension change"]++
+		case forced:
+			seen["forced full"]++
+		case !slices.Equal(alive, prevAlive):
+			seen["liveness label"]++
+		}
+		if wantPass || !slices.Equal(alive, prevAlive) {
+			want.Full++
+		} else {
+			dirty, nd := make([]bool, k), 0
+			for i := 0; i < k; i++ {
+				for j := 0; j < k; j++ {
+					if newW.At(i, j) != prevW.At(i, j) {
+						dirty[i], dirty[j] = true, true
+					}
+				}
+			}
+			for _, d := range dirty {
+				if d {
+					nd++
+				}
+			}
+			if float64(nd) == 0.20*float64(k) {
+				seen["dirty at 20% of K"]++
+			}
+			total := 0
+			for j := 0; j < k; j++ {
+				total += markAffectedOracle(prevSucc, dirty, j, k)
+			}
+			switch {
+			case float64(nd) > 0.20*float64(k):
+				want.Full++
+				seen["dirty label"]++
+			case total > int(0.60*float64(k)*float64(k)):
+				want.Full++
+				seen["affected label"]++
+			default:
+				want.Incremental++
+				want.DirtyVertices += nd
+				want.AffectedPairs += total
+				seen["incremental label"]++
+			}
+		}
+		if got := dw.Stats(); got != want {
+			t.Fatalf("step %d: stats %+v, oracle %+v", step, got, want)
+		}
+		wantRan := 0
+		if wantPass {
+			wantRan = 1
+		}
+		if ran := dw.fullPasses - passes; ran != wantRan {
+			t.Fatalf("step %d: %d full passes ran, want %d: the full pass runs exactly on a first, dimension-changing or forced step", step, ran, wantRan)
+		}
+		prevW, prevAlive, prevSucc = newW, alive, slices.Clone(fPlan.Paths.succ)
+		dPrev, fPrev = dPlan.Tables, fPlan.Tables
+	}
+	t.Logf("occurrences: %v", seen)
+	for _, what := range []string{"first computation", "dimension change", "forced full", "liveness label",
+		"dirty label", "affected label", "incremental label", "death", "revival", "to Inf", "from Inf",
+		"dirty at 20% of K"} {
+		if seen[what] == 0 {
+			t.Errorf("no step exercised %q", what)
+		}
+	}
+}
+
+// TestDeltaCrossoverPolicy pins the recompute labels and which recomputes
+// run the full pass: an unchanged snapshot and a one-node drain are labelled
+// incremental, a change past the dirty crossover and a node death are
+// labelled full, and only the first computation and forced-full mode run
+// the full pass; everything else is repaired — all byte-identical to the
+// full pass.
 func TestDeltaCrossoverPolicy(t *testing.T) {
 	mesh := topology.MustMesh(6, 6, topology.DefaultSpacingCM)
 	dests := checkerboardDests(mesh.Graph)
@@ -499,7 +688,7 @@ func TestDeltaCrossoverPolicy(t *testing.T) {
 
 	dw := NewDeltaWorkspace()
 	ws := NewWorkspace()
-	check := func(wantFull, wantIncr int) {
+	check := func(wantFull, wantIncr, wantPasses int) {
 		t.Helper()
 		dPlan := dw.ComputeInto(alg, state, dests, nil)
 		fPlan := ComputeInto(ws, alg, state, dests, nil)
@@ -507,43 +696,52 @@ func TestDeltaCrossoverPolicy(t *testing.T) {
 		if s := dw.Stats(); s.Full != wantFull || s.Incremental != wantIncr {
 			t.Fatalf("stats = %+v, want Full %d Incremental %d", s, wantFull, wantIncr)
 		}
+		if dw.fullPasses != wantPasses {
+			t.Fatalf("%d full passes ran, want %d", dw.fullPasses, wantPasses)
+		}
 	}
 
-	check(1, 0) // first computation: full
-	check(1, 1) // unchanged snapshot: free repair (empty dirty set)
+	check(1, 0, 1) // first computation: full pass
+	check(1, 1, 1) // unchanged snapshot: free repair (empty dirty set)
 
-	dw.SetCrossover(1, 1) // everything repairs
-	before := dw.Stats().DirtyVertices
+	before := dw.Stats()
 	state.Status[14].BatteryLevel = 3
-	check(1, 2) // one drained node: incremental
-	if dw.Stats().DirtyVertices <= before {
+	check(1, 2, 1) // one drained node: incremental
+	if dw.Stats().DirtyVertices <= before.DirtyVertices {
 		t.Fatal("incremental repair did not record dirty vertices")
 	}
 	for i := range state.Status {
 		state.Status[i].BatteryLevel = 1
 	}
-	check(1, 3) // broad change, permissive crossover: still incremental
+	before = dw.Stats()
+	check(2, 2, 1) // broad change: labelled full, repaired
+	if s := dw.Stats(); s.DirtyVertices != before.DirtyVertices || s.AffectedPairs != before.AffectedPairs {
+		t.Fatalf("a full-labelled recompute added change volume: %+v, was %+v", s, before)
+	}
 
-	dw.SetCrossover(0, 0) // any dirty vertex is past the boundary
-	state.Status[15].BatteryLevel = 3
-	check(2, 3)
+	// Eight spread drains dirty well over 20% of the 36 vertices.
+	for n := 0; n < 36; n += 5 {
+		state.Status[n].BatteryLevel = 3
+	}
+	check(3, 2, 1)
+
+	state.Status[15].Alive = false
+	check(4, 2, 1) // node death: labelled full, repaired
 
 	dw.SetMode(RecomputeFull)
-	dw.SetCrossover(1, 1)
 	state.Status[16].BatteryLevel = 0
-	check(3, 3)
-	if dw.Mode() != RecomputeFull {
-		t.Fatalf("mode = %v, want full", dw.Mode())
-	}
+	check(5, 2, 2) // forced mode: the full pass runs
 
 	dw.SetMode(RecomputeIncremental)
 	state.Status[17].BatteryLevel = 0
-	check(3, 4)
+	check(5, 3, 2)
 }
 
-// TestDeltaComputeSteadyStateZeroAllocs extends the PR 3 zero-alloc
-// contract to the incremental path: once the workspace (including the
-// repair scratch) is warm, battery-drain recomputes must not allocate.
+// TestDeltaComputeSteadyStateZeroAllocs extends the Workspace zero-alloc
+// contract to the repair: once the workspace (including the repair
+// scratch) is warm, recomputes must not allocate — battery drains labelled
+// incremental, and node deaths, revivals and changes past the dirty
+// crossover, which are labelled full but repaired as well.
 func TestDeltaComputeSteadyStateZeroAllocs(t *testing.T) {
 	mesh := topology.MustMesh(8, 8, 1)
 	state := fullState(mesh.Graph, 8)
@@ -560,15 +758,41 @@ func TestDeltaComputeSteadyStateZeroAllocs(t *testing.T) {
 	if dw.Stats().Incremental == 0 {
 		t.Fatal("warm-up never exercised the incremental path")
 	}
+	// Each step is a one-node drain, a node death or revival, or sixteen
+	// drains at once (past the 0.20·64 dirty crossover), in turn.
 	step := 0
-	allocs := testing.AllocsPerRun(64, func() {
-		st := &state.Status[step%len(state.Status)]
-		st.BatteryLevel = (st.BatteryLevel + 1) % 8
+	recompute := func() {
+		switch step % 3 {
+		case 0:
+			st := &state.Status[step%len(state.Status)]
+			st.BatteryLevel = (st.BatteryLevel + 1) % 8
+		case 1:
+			st := &state.Status[27]
+			st.Alive = !st.Alive
+		case 2:
+			for n := step % 4; n < len(state.Status); n += 4 {
+				st := &state.Status[n]
+				st.BatteryLevel = (st.BatteryLevel + 1) % 8
+			}
+		}
 		step++
 		prev = dw.ComputeInto(alg, state, dests, prev).Tables
-	})
+	}
+	for i := 0; i < 6; i++ {
+		recompute()
+	}
+	before, passes := dw.Stats(), dw.fullPasses
+	allocs := testing.AllocsPerRun(64, recompute)
 	if allocs != 0 {
 		t.Errorf("steady-state DeltaWorkspace.ComputeInto allocated %.1f times per run, want 0", allocs)
+	}
+	s := dw.Stats()
+	if dw.fullPasses != passes {
+		t.Fatalf("%d full passes ran in the steady state, want 0", dw.fullPasses-passes)
+	}
+	// AllocsPerRun makes one extra warm-up call: 65 steps, 21 or 22 of each kind.
+	if s.Incremental-before.Incremental < 20 || s.Full-before.Full < 40 {
+		t.Fatalf("labels %+v after %+v: the steady state did not mix incremental drains with full-labelled deaths and broad changes", s, before)
 	}
 }
 
@@ -615,33 +839,49 @@ func BenchmarkIncrementalRecompute(b *testing.B) {
 }
 
 // BenchmarkDeltaCrossover measures the repair against the full pass on the
-// 16x16 mesh as the change grows: each sub-benchmark drains a fixed number
-// of nodes per recompute (each drained node dirties itself and its
-// in-neighbours). The crossover constants in delta.go are output policy,
-// not this break-even; the benchmark shows how far they sit from it.
+// 16x16 mesh as the change grows: each drained-N sub-benchmark drains N
+// nodes per recompute (each drained node dirties itself and its
+// in-neighbours), and repair/death kills one node and revives it per
+// iteration (two recomputes per op). The workspace repairs every recompute
+// whatever its full/incremental label, so the crossover constants in
+// delta.go are output policy, not this break-even. Measured on a 2-CPU Xeon
+// container (-benchtime 100x): the full pass takes about 7.5 ms, the repair
+// 1.5 ms at one drained node, 5 ms at 16 and 7.5 ms at 32, so it loses from
+// about 32 drained nodes at once; about eleven drained nodes, five dirty
+// vertices each, already pass the 0.20·K dirty crossover. repair/death takes
+// about 1.6 ms for its two recomputes.
 func BenchmarkDeltaCrossover(b *testing.B) {
 	const meshSize = 16
-	run := func(b *testing.B, drained int, mode RecomputeMode) {
+	setup := func(b *testing.B, mode RecomputeMode) (*DeltaWorkspace, *SystemState, func()) {
 		mesh := topology.MustMesh(meshSize, meshSize, 1)
 		state := fullState(mesh.Graph, 8)
 		dests := checkerboardDests(mesh.Graph)
 		dw := NewDeltaWorkspace()
 		dw.SetMode(mode)
-		dw.SetCrossover(1, 1) // measure the repair itself, not the policy
 		var alg Algorithm = NewEAR()
 		var prev *Tables
+		recompute := func() { prev = dw.ComputeInto(alg, state, dests, prev).Tables }
 		for i := 0; i < 3; i++ {
 			state.Status[i].BatteryLevel = 6
-			prev = dw.ComputeInto(alg, state, dests, prev).Tables
+			recompute()
+		}
+		// One death and revival sizes the dead-node buffers.
+		for _, alive := range []bool{false, true} {
+			state.Status[meshSize].Alive = alive
+			recompute()
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
+		return dw, state, recompute
+	}
+	run := func(b *testing.B, drained int, mode RecomputeMode) {
+		_, state, recompute := setup(b, mode)
 		for i := 0; i < b.N; i++ {
 			for d := 0; d < drained; d++ {
 				st := &state.Status[(i*drained+d*5)%len(state.Status)]
 				st.BatteryLevel = (st.BatteryLevel + 1) % 8
 			}
-			prev = dw.ComputeInto(alg, state, dests, prev).Tables
+			recompute()
 		}
 	}
 	b.Run("full", func(b *testing.B) { run(b, 1, RecomputeFull) })
@@ -650,4 +890,17 @@ func BenchmarkDeltaCrossover(b *testing.B) {
 			run(b, drained, RecomputeIncremental)
 		})
 	}
+	b.Run("repair/death", func(b *testing.B) {
+		dw, state, recompute := setup(b, RecomputeIncremental)
+		for i := 0; i < b.N; i++ {
+			st := &state.Status[(i*37)%len(state.Status)]
+			st.Alive = false
+			recompute()
+			st.Alive = true
+			recompute()
+		}
+		if dw.fullPasses != 1 {
+			b.Fatalf("%d full passes ran, want only the first", dw.fullPasses)
+		}
+	})
 }

@@ -134,7 +134,7 @@ type Spec struct {
 	// (0 = 1 = every frame). Invalid with the centralized plane.
 	StalenessFrames int
 	// Recompute selects the controller's phase-2 strategy: "" or
-	// "incremental" (shortest-path-tree repair with automatic full fallback) or
+	// "incremental" (shortest-path-tree repair from the previous fixpoint) or
 	// "full" (always the complete per-destination shortest-path pass). The
 	// strategies are byte-identical in every output for any EARQ, except the
 	// reported recompute split, so the knob only changes controller compute

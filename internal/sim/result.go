@@ -123,12 +123,16 @@ type Result struct {
 	// RoutingRecomputes).
 	ShardRecomputes []int
 	// FullRecomputes and IncrementalRecomputes split the recomputations by
-	// phase-2 strategy: complete per-destination passes vs incremental
-	// shortest-path-tree repairs (summed across regions under the sharded
-	// plane). Both strategies produce byte-identical tables for any EAR Q,
-	// so every other result field is independent of the split. The split
-	// itself follows routing.DeltaWorkspace's crossover policy and is part
-	// of every published result.
+	// routing.DeltaWorkspace's crossover policy (summed across regions under
+	// the sharded plane): full for the first computation, a liveness change
+	// or a change past the dirty or affected crossover (and for every
+	// recompute under Recompute "full"), incremental otherwise. The split is
+	// a label on the size of the change, not the phase-2 path that ran:
+	// under "incremental" every recompute after a controller workspace's
+	// first repairs the previous shortest-path trees. Both paths produce
+	// byte-identical tables for any EAR Q, so every other result field is
+	// independent of the split; the split itself is part of every published
+	// result.
 	FullRecomputes        int
 	IncrementalRecomputes int
 	// DeadlockReports counts deadlock notifications uploaded to the
